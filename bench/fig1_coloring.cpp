@@ -62,14 +62,14 @@ int main(int argc, char** argv) {
       colored.add(count);
       gaps.add(bench::max_uncolored_gap(run, t));
     }
-    const ChainDist cd(n, c[static_cast<std::size_t>(t)]);
+    const double cbar = c[static_cast<std::size_t>(t)];
     c_pts.emplace_back(static_cast<double>(t), colored.mean());
     k_pts.emplace_back(static_cast<double>(t), gaps.quantile(0.99));
     table.add_row({Table::cell("%lld", static_cast<long long>(t)),
-                   Table::cell("%.1f", c[static_cast<std::size_t>(t)]),
+                   Table::cell("%.1f", cbar),
                    Table::cell("%.1f", colored.mean()),
                    Table::cell("%.0f", gaps.quantile(0.99)),
-                   Table::cell("%d", cd.k_bar(0.01))});
+                   Table::cell("%d", chain_k_bar(n, cbar, 0.01))});
   }
   table.print();
   bench::maybe_write_csv(flags, table);

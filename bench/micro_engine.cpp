@@ -4,6 +4,7 @@
 
 #include "analysis/chain.hpp"
 #include "analysis/coloring.hpp"
+#include "analysis/fcg_bound.hpp"
 #include "analysis/tuning.hpp"
 #include "common/rng.hpp"
 #include "gossip/ccg.hpp"
@@ -333,19 +334,42 @@ void BM_ExpectedColored(benchmark::State& state) {
 BENCHMARK(BM_ExpectedColored);
 
 void BM_ChainDist(benchmark::State& state) {
-  for (auto _ : state) {
-    ChainDist d(4096, 4050.0);
-    benchmark::DoNotOptimize(d.k_bar(1e-6));
-  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(chain_k_bar(4096, 4050.0, 1e-6));
 }
 BENCHMARK(BM_ChainDist);
 
+// One full T scan at the paper's eps on Piz Daint; items = nodes tuned.
+// The scans cost in proportion to the chain distributions' support, not
+// to N (docs/PERF.md, "Tuning cost"), so the 1M-node point runs in well
+// under a second.
 void BM_TuneOcg(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
   for (auto _ : state)
-    benchmark::DoNotOptimize(
-        tune_ocg(4096, 4096, LogP::piz_daint(), 6.93e-7));
+    benchmark::DoNotOptimize(tune_ocg(n, n, LogP::piz_daint(), 6.93e-7));
+  state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_TuneOcg);
+BENCHMARK(BM_TuneOcg)->Arg(4096)->Arg(65536)->Unit(benchmark::kMillisecond);
+
+void BM_TuneCcg(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(tune_ccg(n, n, LogP::piz_daint(), 6.93e-7));
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_TuneCcg)
+    ->Arg(4096)
+    ->Arg(65536)
+    ->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_TuneFcg(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(tune_fcg(n, n, LogP::piz_daint(), 6.93e-7, 1));
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_TuneFcg)->Arg(4096)->Arg(65536)->Unit(benchmark::kMillisecond);
 
 void BM_KnownGNodesInsert(benchmark::State& state) {
   Xoshiro256 g(3);

@@ -7,6 +7,11 @@
 // The worst-case FCG completion for f=1 is bounded by
 //   T + 4 G_V O + L - 13 O                                  (Eq. 5)
 // and T_opt minimizes that bound.
+//
+// As for Eq. 2 (analysis/chain.hpp), only the support is evaluated:
+// (G-2)!/((V-2)!(G-V)!) <= N^(V-2), so log q(G) <= V log cbar - 2 log N -
+// (G-V)(log N - log(N-cbar)), and past the G where that bound underflows
+// exp() every term is exactly zero.
 #pragma once
 
 #include <vector>
@@ -21,16 +26,20 @@ class GChainDist {
  public:
   GChainDist(NodeId N, double cbar, int V);
 
-  double pmf(int G) const;     ///< P[max span == G], G in [V, N]
+  double pmf(int G) const;     ///< P[max span == G]; 0 outside the support
   double tail(int G) const;    ///< P[max span >= G]
-  int g_v(double eps) const;   ///< smallest G with tail(G+1) < eps
 
  private:
-  NodeId N_;
   int V_;
-  std::vector<double> pmf_;    // index G-V_, G = V..N
+  std::vector<double> pmf_;    // index G-V_, G = V..V+support-1
   std::vector<double> tail_;
 };
+
+/// G_V(eps): the smallest G with GChainDist(N, cbar, V).tail(G+1) < eps,
+/// or N when the total mass tail(V) is below 1-eps (no window of V
+/// g-nodes is likely to exist, so only the whole ring bounds the span).
+/// Found without storing the distribution by one top-down pass.
+int chain_g_v(NodeId N, double cbar, int V, double eps);
 
 /// G_V(N, n, T, eps) with V = 2f+3 (uses Eq. 1 for cbar).
 int g_v_for(NodeId N, NodeId n_active, Step T, const LogP& logp, double eps,

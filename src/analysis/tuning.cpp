@@ -1,5 +1,6 @@
 #include "analysis/tuning.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "analysis/coloring.hpp"
@@ -15,40 +16,31 @@ double eps_for_runs(double psi, double m) {
 int k_bar_for(NodeId N, NodeId n_active, Step T, const LogP& logp,
               double eps) {
   const double cbar = colored_at_corr_start(N, n_active, T, logp);
-  return ChainDist(N, cbar).k_bar(eps);
+  return chain_k_bar(N, cbar, eps);
+}
+
+Step default_t_hi(NodeId N, Step pad) {
+  return static_cast<Step>(
+      4.0 * std::ceil(std::log2(static_cast<double>(std::max<NodeId>(N, 2)))) +
+      static_cast<double>(pad));
+}
+
+Step latency_steps(Step T, int k, const LogP& logp, int w) {
+  return T + 2 * logp.l_over_o + 2 +
+         static_cast<Step>(w) * static_cast<Step>(k);
 }
 
 namespace {
 
-Step default_t_hi(NodeId N) {
-  // The optimum is near 1.6..2.5 log2 N; scan generously past it.
-  return static_cast<Step>(
-      4.0 * std::ceil(std::log2(static_cast<double>(std::max<NodeId>(N, 2)))) +
-      32.0);
-}
-
-/// Scan T in [t_lo, t_hi], minimizing latency(T) = T + 2L/O + 2 + w*K_bar(T)
-/// steps.  Among ties prefer the SMALLEST T: it costs the least work
-/// (fewer gossip emissions), and the caller's recommended "+O" margin
-/// already restores eps headroom.  (The paper's own choices - T=24 in
-/// Fig. 3, T=32 in Table 7 - sit at the small end of the plateau.)
 Tuning tune(NodeId N, NodeId n_active, const LogP& logp, double eps, int w,
             Step t_lo, Step t_hi) {
   CG_CHECK(eps > 0.0 && eps < 1.0);
-  if (t_hi <= 0) t_hi = default_t_hi(N);
-  CG_CHECK(t_lo >= 1 && t_lo <= t_hi);
-  Tuning best;
-  Step best_lat = kNever;
-  for (Step T = t_lo; T <= t_hi; ++T) {
-    const int k = k_bar_for(N, n_active, T, logp, eps);
-    const Step lat =
-        T + 2 * logp.l_over_o + 2 + static_cast<Step>(w) * static_cast<Step>(k);
-    if (lat < best_lat) {
-      best_lat = lat;
-      best = Tuning{T, k, lat};
-    }
-  }
-  return best;
+  const ScanPoint best = scan_gossip_time(
+      N, t_lo, t_hi, /*pad=*/32, latency_steps(0, 0, logp, w), [&](Step T) {
+        const int k = k_bar_for(N, n_active, T, logp, eps);
+        return ScanPoint{T, k, latency_steps(T, k, logp, w)};
+      });
+  return Tuning{best.T, best.chain, best.latency};
 }
 
 }  // namespace
@@ -65,14 +57,12 @@ Tuning tune_ccg(NodeId N, NodeId n_active, const LogP& logp, double eps,
 
 Step ocg_predicted_latency(NodeId N, NodeId n_active, Step T,
                            const LogP& logp, double eps) {
-  const int k = k_bar_for(N, n_active, T, logp, eps);
-  return T + 2 * logp.l_over_o + 2 + static_cast<Step>(k);
+  return latency_steps(T, k_bar_for(N, n_active, T, logp, eps), logp, 1);
 }
 
 Step ccg_predicted_latency(NodeId N, NodeId n_active, Step T,
                            const LogP& logp, double eps) {
-  const int k = k_bar_for(N, n_active, T, logp, eps);
-  return T + 2 * logp.l_over_o + 2 + 2 * static_cast<Step>(k);
+  return latency_steps(T, k_bar_for(N, n_active, T, logp, eps), logp, 2);
 }
 
 }  // namespace cg

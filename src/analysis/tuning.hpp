@@ -6,6 +6,7 @@
 #pragma once
 
 #include "analysis/chain.hpp"
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "sim/logp.hpp"
 
@@ -38,5 +39,46 @@ Step ocg_predicted_latency(NodeId N, NodeId n_active, Step T,
                            const LogP& logp, double eps);
 Step ccg_predicted_latency(NodeId N, NodeId n_active, Step T,
                            const LogP& logp, double eps);
+
+/// OCG/CCG latency (Eqs. 3-4) in steps for gossip time T and K_bar = k:
+/// T + 2L/O + 2 + w*k, with w = 1 for OCG and 2 for CCG.
+Step latency_steps(Step T, int k, const LogP& logp, int w);
+
+/// One candidate of a gossip-time scan: T, its chain statistic (K_bar, or
+/// G_V for FCG) and the predicted latency in steps.
+struct ScanPoint {
+  Step T = 0;
+  int chain = 0;
+  Step latency = 0;
+};
+
+/// Default upper end of a T scan: the optimum sits near 1.6..2.5 log2 N,
+/// so 4 ceil(log2 N) + pad scans generously past it.
+Step default_t_hi(NodeId N, Step pad);
+
+/// The T scan behind every tuner.  Evaluates eval(T) -> ScanPoint for
+/// T = t_lo, t_lo+1, ... up to t_hi (t_hi <= 0: default_t_hi(N, pad)) and
+/// returns the first minimum: ties go to the smallest T, which costs the
+/// least gossip work (the tuned "+O" margin restores eps headroom; the
+/// paper's own T=24 in Fig. 3 and T=32 in Table 7 sit at the small end of
+/// the plateau).  `floor` is latency - T at the smallest chain statistic
+/// the model allows, so latency(T) >= T + floor and the scan stops once
+/// T + floor reaches the best latency: no larger T can beat it.
+template <class Eval>
+ScanPoint scan_gossip_time(NodeId N, Step t_lo, Step t_hi, Step pad,
+                           Step floor, Eval&& eval) {
+  if (t_hi <= 0) t_hi = default_t_hi(N, pad);
+  CG_CHECK(t_lo >= 1 && t_lo <= t_hi);
+  ScanPoint best;
+  Step best_lat = kNever;
+  for (Step T = t_lo; T <= t_hi && T + floor < best_lat; ++T) {
+    const ScanPoint p = eval(T);
+    if (p.latency < best_lat) {
+      best_lat = p.latency;
+      best = p;
+    }
+  }
+  return best;
+}
 
 }  // namespace cg

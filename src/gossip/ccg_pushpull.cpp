@@ -1,7 +1,6 @@
 #include "gossip/ccg_pushpull.hpp"
 
-#include <cmath>
-
+#include "analysis/tuning.hpp"
 #include "common/check.hpp"
 
 namespace cg {
@@ -10,29 +9,18 @@ int k_bar_pushpull(NodeId N, NodeId n_active, Step T, const LogP& logp,
                    double eps) {
   const auto c = pushpull_expected_colored(N, n_active, T, logp,
                                            T + logp.delivery_delay());
-  return ChainDist(N, c.back()).k_bar(eps);
+  return chain_k_bar(N, c.back(), eps);
 }
 
 PpTuning tune_ccg_pushpull(NodeId N, NodeId n_active, const LogP& logp,
                            double eps, Step t_lo, Step t_hi) {
   CG_CHECK(eps > 0.0 && eps < 1.0);
-  if (t_hi <= 0)
-    t_hi = static_cast<Step>(
-        4.0 *
-            std::ceil(std::log2(static_cast<double>(std::max<NodeId>(N, 2)))) +
-        32.0);
-  CG_CHECK(t_lo >= 1 && t_lo <= t_hi);
-  PpTuning best;
-  Step best_lat = kNever;
-  for (Step T = t_lo; T <= t_hi; ++T) {
-    const int k = k_bar_pushpull(N, n_active, T, logp, eps);
-    const Step lat = T + 2 * logp.l_over_o + 2 + 2 * static_cast<Step>(k);
-    if (lat < best_lat) {
-      best_lat = lat;
-      best = PpTuning{T, k, lat};
-    }
-  }
-  return best;
+  const ScanPoint best = scan_gossip_time(
+      N, t_lo, t_hi, /*pad=*/32, latency_steps(0, 0, logp, 2), [&](Step T) {
+        const int k = k_bar_pushpull(N, n_active, T, logp, eps);
+        return ScanPoint{T, k, latency_steps(T, k, logp, 2)};
+      });
+  return PpTuning{best.T, best.chain, best.latency};
 }
 
 }  // namespace cg

@@ -90,7 +90,9 @@ TEST(Coloring, GossipTimeForTarget) {
 // ---------------------------------------------------------------- chain --
 
 TEST(Chain, SumsToOne) {
-  for (const double cbar : {16.0, 100.0, 250.0, 255.0}) {
+  // cbar = N: a fully colored ring, where only the K = 0 pattern (0^0 = 1)
+  // has mass.
+  for (const double cbar : {16.0, 100.0, 250.0, 255.0, 256.0}) {
     ChainDist d(256, cbar);
     double sum = 0;
     for (int K = 0; K < 256; ++K) sum += d.pmf(K);
@@ -105,16 +107,13 @@ TEST(Chain, TailMonotone) {
 }
 
 TEST(Chain, KBarMonotoneInEps) {
-  ChainDist d(1024, 1000.0);
-  EXPECT_LE(d.k_bar(1e-2), d.k_bar(1e-4));
-  EXPECT_LE(d.k_bar(1e-4), d.k_bar(1e-8));
+  EXPECT_LE(chain_k_bar(1024, 1000.0, 1e-2), chain_k_bar(1024, 1000.0, 1e-4));
+  EXPECT_LE(chain_k_bar(1024, 1000.0, 1e-4), chain_k_bar(1024, 1000.0, 1e-8));
 }
 
 TEST(Chain, DenseColoringHasShortChains) {
-  ChainDist d(1024, 1020.0);
-  EXPECT_LE(d.k_bar(1e-6), 6);
-  ChainDist sparse(1024, 64.0);
-  EXPECT_GT(sparse.k_bar(1e-6), 50);
+  EXPECT_LE(chain_k_bar(1024, 1020.0, 1e-6), 6);
+  EXPECT_GT(chain_k_bar(1024, 64.0, 1e-6), 50);
 }
 
 TEST(Chain, KBarForDecreasesWithT) {
@@ -186,25 +185,22 @@ TEST(FcgBound, GChainSumsToOne) {
 }
 
 TEST(FcgBound, GvAtLeastV) {
-  GChainDist d(1024, 1000.0, 5);
-  EXPECT_GE(d.g_v(1e-6), 5);
+  EXPECT_GE(chain_g_v(1024, 1000.0, 5, 1e-6), 5);
 }
 
 TEST(FcgBound, SparseColoringMakesGvUnbounded) {
   // Regression: when fewer than V g-nodes can exist, no V-window exists
   // and only the whole ring is a safe span bound (the naive tail scan
   // would return the minimum V and mis-tune FCG's T towards 1).
-  GChainDist starved(1024, 4.0, 9);  // ~4 g-nodes, windows of 9 impossible
-  EXPECT_EQ(starved.g_v(1e-4), 1024);
+  // ~4 g-nodes, windows of 9 impossible.
+  EXPECT_EQ(chain_g_v(1024, 4.0, 9, 1e-4), 1024);
   // And the tuner therefore never picks a tiny T for large f.
   const FcgTuning t = tune_fcg(1024, 1024, LogP::piz_daint(), 1e-5, 3);
   EXPECT_GT(t.T_opt, 15);
 }
 
 TEST(FcgBound, GvShrinksWithDenserColoring) {
-  GChainDist dense(1024, 1020.0, 5);
-  GChainDist sparse(1024, 512.0, 5);
-  EXPECT_LE(dense.g_v(1e-6), sparse.g_v(1e-6));
+  EXPECT_LE(chain_g_v(1024, 1020.0, 5, 1e-6), chain_g_v(1024, 512.0, 5, 1e-6));
 }
 
 TEST(FcgBound, TuningNeighborhood) {

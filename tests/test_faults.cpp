@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "gossip/reliable.hpp"
 #include "harness/campaign.hpp"
 #include "harness/runner.hpp"
 #include "obs/report.hpp"
@@ -216,6 +217,112 @@ TEST(FaultSemantics, RetransmissionsAreCountedAndOffByDefault) {
   const RunMetrics rel = run_once(Algo::kCcg, acfg, cfg);
   EXPECT_GT(rel.msgs_retrans, 0);
   EXPECT_LE(rel.msgs_retrans, rel.msgs_total);
+}
+
+// ------------------------------------------------ reliable sublayer unit --
+
+/// All ReliableLink asks of an engine context: the clock, LogP and a send
+/// slot (recorded here instead of routed).
+struct FakeCtx {
+  Step t = 0;
+  LogP lp = LogP::unit();
+  std::vector<std::pair<NodeId, Message>> sent;
+
+  Step now() const { return t; }
+  const LogP& logp() const { return lp; }
+  void send(NodeId to, const Message& m) { sent.emplace_back(to, m); }
+};
+
+Message tracked(NodeId src, Step seq) {
+  Message m;
+  m.tag = Tag::kFwd;
+  m.src = src;
+  m.time = seq;
+  return m;
+}
+
+ReliableLink enabled_link() {
+  ReliableParams p;
+  p.enabled = true;
+  return ReliableLink(p, /*self=*/0, /*n=*/8);
+}
+
+/// Flushes the link's send slot once; returns the kAck it sent (or fails).
+Message flush_ack(ReliableLink& link, FakeCtx& ctx) {
+  ctx.sent.clear();
+  EXPECT_TRUE(link.on_tick(ctx));
+  if (ctx.sent.size() != 1) {
+    ADD_FAILURE() << "expected one send, got " << ctx.sent.size();
+    return Message{};
+  }
+  EXPECT_EQ(ctx.sent[0].second.tag, Tag::kAck);
+  Message ack = ctx.sent[0].second;
+  ack.src = ctx.sent[0].first;  // the peer the ack went to
+  return ack;
+}
+
+TEST(ReliableLink, DedupsOnTheHighestSeqPerSender) {
+  using Rx = ReliableLink::Rx;
+  ReliableLink link = enabled_link();
+  FakeCtx ctx;
+
+  EXPECT_EQ(link.on_receive(ctx, tracked(3, 5)), Rx::kProcess);  // fresh
+  EXPECT_FALSE(link.idle());  // owes sender 3 a cumulative ack
+  Message ack = flush_ack(link, ctx);
+  EXPECT_EQ(ack.src, 3);
+  EXPECT_EQ(ack.time, 5);
+  EXPECT_TRUE(link.idle());
+
+  // A repeat, then an older seq: suppressed, and each re-owes the ack
+  // (the previous one may have been lost).
+  for (const Step seq : {5, 2}) {
+    EXPECT_EQ(link.on_receive(ctx, tracked(3, seq)), Rx::kDuplicate) << seq;
+    EXPECT_FALSE(link.idle());
+    ack = flush_ack(link, ctx);
+    EXPECT_EQ(ack.src, 3);
+    EXPECT_EQ(ack.time, 5) << "cumulative ack covers the highest seq";
+  }
+
+  EXPECT_EQ(link.on_receive(ctx, tracked(3, 6)), Rx::kProcess);  // newer
+  // Senders are independent: a low seq from another peer is still fresh.
+  EXPECT_EQ(link.on_receive(ctx, tracked(4, 1)), Rx::kProcess);
+  EXPECT_EQ(link.on_receive(ctx, tracked(4, 1)), Rx::kDuplicate);
+  EXPECT_EQ(link.on_receive(ctx, tracked(3, 6)), Rx::kDuplicate);
+
+  // Untracked tags bypass the sublayer.
+  Message gossip = tracked(3, 0);
+  gossip.tag = Tag::kGossip;
+  EXPECT_EQ(link.on_receive(ctx, gossip), Rx::kProcess);
+}
+
+TEST(ReliableLink, AckClearsThePendingTransaction) {
+  using Rx = ReliableLink::Rx;
+  ReliableLink link = enabled_link();
+  FakeCtx ctx;
+  Message m;
+  m.tag = Tag::kFwd;
+  link.send(ctx, 2, m);
+  link.send(ctx, 2, m);  // supersedes: one transaction per destination
+  ASSERT_EQ(ctx.sent.size(), 2u);
+  const Step seq = ctx.sent[1].second.time;
+  EXPECT_FALSE(link.idle());
+
+  Message stale;
+  stale.tag = Tag::kAck;
+  stale.src = 2;
+  stale.time = seq - 1;  // acks only the superseded send
+  EXPECT_EQ(link.on_receive(ctx, stale), Rx::kAck);
+  EXPECT_FALSE(link.idle());
+
+  Message ack = stale;
+  ack.time = seq;
+  EXPECT_EQ(link.on_receive(ctx, ack), Rx::kAck);
+  EXPECT_TRUE(link.idle());
+  ctx.t = 1000;  // long past every timeout: nothing left to retransmit
+  ctx.sent.clear();
+  EXPECT_FALSE(link.on_tick(ctx));
+  EXPECT_TRUE(ctx.sent.empty());
+  EXPECT_EQ(link.abandoned(), 0);
 }
 
 // --------------------------------------------------------- the campaign --
