@@ -36,8 +36,8 @@ class RackTrace final : public cg::TraceSink {
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = static_cast<NodeId>(flags.get_int("n", 1024));
-  const auto rack = static_cast<NodeId>(flags.get_int("rack", 32));
+  const auto n = flags.get_node_count("n", 1024);
+  const auto rack = flags.get_node_count("rack", 32);
   const int trials = static_cast<int>(flags.get_int("trials", 200));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const LogP logp = LogP::piz_daint();

@@ -3,8 +3,7 @@
 // the "opt" lower bound.  L = 2 us, O = 1 us, eps = 6.93e-7.
 //
 //   ./fig7a_scaling [--max-n=16384] [--threads=0] [--trials=200] [--seed=1]
-//                   [--eps=...] [--engine=stepped|async|parallel|sharded]
-//                   [--shards=K]
+//                   [--eps=...] [--engine=stepped|sharded] [--shards=K]
 #include <cstdio>
 #include <vector>
 
@@ -18,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto max_n = static_cast<NodeId>(flags.get_int("max-n", 16384));
+  const auto max_n = flags.get_node_count("max-n", 16384);
   const int base_trials = static_cast<int>(flags.get_int("trials", 200));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const double eps = flags.get_double("eps", paper_eps());

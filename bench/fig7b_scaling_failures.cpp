@@ -4,7 +4,8 @@
 // be consistent under failures).
 //
 //   ./fig7b_scaling_failures [--max-n=16384] [--trials=200] [--seed=1]
-//                            [--threads=0] [--engine=...] [--shards=K]
+//                            [--threads=0] [--engine=stepped|sharded]
+//                            [--shards=K]
 #include <cstdio>
 #include <vector>
 
@@ -17,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto max_n = static_cast<NodeId>(flags.get_int("max-n", 16384));
+  const auto max_n = flags.get_node_count("max-n", 16384);
   const int base_trials = static_cast<int>(flags.get_int("trials", 200));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2));
   const double eps = flags.get_double("eps", paper_eps());

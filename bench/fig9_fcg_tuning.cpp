@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = static_cast<NodeId>(flags.get_int("n", 1024));
+  const auto n = flags.get_node_count("n", 1024);
   const int trials = static_cast<int>(flags.get_int("trials", 800));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const int f = static_cast<int>(flags.get_int("f", 1));

@@ -13,8 +13,6 @@
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 #include "obs/telemetry.hpp"
-#include "runtime/parallel_engine.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/sharded_engine.hpp"
 
 namespace cg {
@@ -93,45 +91,6 @@ void BM_EngineSerial(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EngineSerial)->Arg(1024)->Arg(4096);
-
-void BM_EngineAsync(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    RunConfig cfg;
-    cfg.n = n;
-    cfg.logp = LogP::piz_daint();
-    cfg.seed = seed++;
-    CcgNode::Params p;
-    p.T = 30;
-    AsyncEngine<CcgNode> eng(cfg, p);
-    benchmark::DoNotOptimize(eng.run());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EngineAsync)->Arg(1024)->Arg(4096);
-
-void BM_EngineParallel(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  const auto threads = static_cast<int>(state.range(1));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    RunConfig cfg;
-    cfg.n = n;
-    cfg.logp = LogP::piz_daint();
-    cfg.seed = seed++;
-    CcgNode::Params p;
-    p.T = 30;
-    ParallelEngine<CcgNode> eng(cfg, p, threads);
-    benchmark::DoNotOptimize(eng.run());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EngineParallel)
-    ->Args({4096, 1})
-    ->Args({4096, 2})
-    ->Args({4096, 4})
-    ->Args({4096, 8});
 
 // SBRB (sample-based Byzantine reliable broadcast) through the serial
 // engine, tuned for eps = 1e-4 against a 10% adversary.  Every node runs
@@ -234,7 +193,7 @@ BENCHMARK(BM_EngineShardedTelemetry)
     ->Unit(benchmark::kMillisecond);
 
 // The 65536-node cross-engine comparison points BENCH_engine.json cites
-// (serial/async/SBRB at the sharded engine's home scale).  Excluded from
+// (serial/SBRB at the sharded engine's home scale).  Excluded from
 // the bench-smoke filter - these are ms-per-run data points, not gates.
 BENCHMARK(BM_EngineSerial)->Arg(65536)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineSbrb)->Arg(65536)->Unit(benchmark::kMillisecond);
@@ -242,7 +201,6 @@ BENCHMARK(BM_EngineSbrbSharded)
     ->Args({65536, 1})
     ->Args({65536, 8})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EngineAsync)->Arg(65536)->Unit(benchmark::kMillisecond);
 
 // Trial-farm throughput: run_trials() end to end (pool scheduling, engine
 // reuse, deterministic reduction included), items/sec = trials/sec.  The
@@ -299,32 +257,6 @@ void BM_EngineSerialProfiled(benchmark::State& state) {
       wall > 0 ? static_cast<double>(events) / wall : 0;
 }
 BENCHMARK(BM_EngineSerialProfiled)->Arg(4096);
-
-void BM_EngineParallelProfiled(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  const auto threads = static_cast<int>(state.range(1));
-  std::uint64_t seed = 1;
-  std::int64_t events = 0;
-  double wall = 0;
-  for (auto _ : state) {
-    EngineProfile prof;
-    RunConfig cfg;
-    cfg.n = n;
-    cfg.logp = LogP::piz_daint();
-    cfg.seed = seed++;
-    cfg.profile = &prof;
-    CcgNode::Params p;
-    p.T = 30;
-    ParallelEngine<CcgNode> eng(cfg, p, threads);
-    benchmark::DoNotOptimize(eng.run());
-    events += prof.events();
-    wall += prof.wall_s;
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.counters["engine_events_per_sec"] =
-      wall > 0 ? static_cast<double>(events) / wall : 0;
-}
-BENCHMARK(BM_EngineParallelProfiled)->Args({4096, 4});
 
 void BM_ExpectedColored(benchmark::State& state) {
   for (auto _ : state)

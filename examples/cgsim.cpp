@@ -8,12 +8,12 @@
 //           [--corr=6] [--f=1] [--pre-fail=3] [--online-fail=1]
 //           [--jitter=0] [--drop-prob=0] [--eps=6.93e-7] [--seed=1]
 //           [--rx=drain|one] [--threads=0] [--drain-extra=0] [--csv]
-//           [--engine=stepped|async|parallel|sharded] [--shards=K]
+//           [--engine=stepped|sharded] [--shards=K]
 //
 // --engine picks the execution engine carrying every trial (identical
-// results, different wall-clock profile; sharded is the scale engine for
-// million-node runs).  --shards sets the shard count (sharded) or worker
-// threads (parallel).
+// results, different wall-clock profile; stepped is the reference
+// oracle, sharded the scale engine for million-node runs).  --shards sets
+// the sharded engine's shard count (one worker thread each).
 //
 // Omitted --t/--corr are tuned from the analytic models at --eps.
 //
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const auto n = static_cast<NodeId>(flags.get_int("n", 1024));
+  const auto n = flags.get_node_count("n", 1024);
   const LogP logp{.l_over_o = flags.get_int("l", 2) / flags.get_int("o", 1),
                   .o_us = static_cast<double>(flags.get_int("o", 1))};
   const double eps = flags.get_double("eps", 6.9315e-7);

@@ -10,7 +10,7 @@
 //                   [--restart=0] [--stragglers=0] [--reliable]
 //                   [--byz=K] [--byz-mode=silent|equivocator|corruptor|spammer]
 //                   [--byz-root]
-//                   [--engine=stepped|async|parallel|sharded] [--shards=K]
+//                   [--engine=stepped|sharded] [--shards=K]
 //                   [--heartbeat=SECONDS]
 //
 // With --byz=K the drill adds an SBRB row and a "consistent" column: the
@@ -31,7 +31,7 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = static_cast<NodeId>(flags.get_int("n", 512));
+  const auto n = flags.get_node_count("n", 512);
   const int trials = static_cast<int>(flags.get_int("trials", 300));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const double drop_prob = flags.get_double("drop-prob", 0.0);

@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
 
   CampaignConfig cfg;
-  cfg.n = static_cast<NodeId>(flags.get_int("n", 128));
+  cfg.n = flags.get_node_count("n", 128);
   cfg.logp = LogP::piz_daint();
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 21));
   cfg.trials = static_cast<int>(flags.get_int("trials", 100));

@@ -1,6 +1,9 @@
 #include "common/flags.hpp"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -45,6 +48,22 @@ double Flags::get_double(const std::string& name, double def) const {
   const double v = std::strtod(it->second.c_str(), &end);
   CG_CHECK_MSG(end && *end == '\0', "double flag parse error");
   return v;
+}
+
+NodeId Flags::get_node_count(const std::string& name, NodeId def) const {
+  const auto it = kv_.find(name);
+  if (it == kv_.end()) return def;
+  constexpr long long kMax = std::numeric_limits<NodeId>::max();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(it->second.c_str(), &end, 10);
+  if (end == it->second.c_str() || *end != '\0' || errno == ERANGE || v < 1 ||
+      v > kMax) {
+    std::fprintf(stderr, "--%s=%s: expected an integer in [1, %lld]\n",
+                 name.c_str(), it->second.c_str(), kMax);
+    std::exit(2);
+  }
+  return static_cast<NodeId>(v);
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hpp"
+
 namespace cg {
 
 class Flags {
@@ -22,6 +24,12 @@ class Flags {
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
+
+  /// A node count (--n, --max-n, ...): an integer in [1, 2147483647], the
+  /// positive NodeId range.  Any other value prints an error naming the
+  /// flag and the range and exits with status 2, instead of narrowing
+  /// silently or tripping a CG_CHECK deep in the run.
+  NodeId get_node_count(const std::string& name, NodeId def) const;
 
   /// Positional (non --flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -67,11 +67,8 @@ void fill_registry(MetricsRegistry& reg, const RunMetrics& m,
     reg.counter("engine.callbacks_tick").add(prof->callbacks_tick);
     reg.counter("engine.events_scheduled").add(prof->events_scheduled);
     reg.counter("engine.events_fired").add(prof->events_fired);
-    reg.counter("engine.events_cancelled").add(prof->events_cancelled);
     reg.gauge("engine.queue_max_bucket").set(
         static_cast<double>(prof->queue_max_bucket));
-    reg.gauge("engine.queue_slot_capacity").set(
-        static_cast<double>(prof->queue_slot_capacity));
     reg.counter("engine.steps").add(prof->steps);
     reg.gauge("engine.wall_s").set(prof->wall_s);
     reg.gauge("engine.deliver_s").set(prof->deliver_s);

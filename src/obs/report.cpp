@@ -125,9 +125,7 @@ void write_json(JsonWriter& w, const EngineProfile& prof) {
   w.kv("callbacks_tick", prof.callbacks_tick);
   w.kv("events_scheduled", prof.events_scheduled);
   w.kv("events_fired", prof.events_fired);
-  w.kv("events_cancelled", prof.events_cancelled);
   w.kv("queue_max_bucket", prof.queue_max_bucket);
-  w.kv("queue_slot_capacity", prof.queue_slot_capacity);
   w.kv("steps", static_cast<std::int64_t>(prof.steps));
   w.kv("wall_s", prof.wall_s);
   w.kv("deliver_s", prof.deliver_s);

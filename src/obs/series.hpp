@@ -2,10 +2,11 @@
 // the analytic-drift check that compares an observed coloring trajectory to
 // the paper's c(t) recurrence (Lemma 1 / Eq. 1).
 //
-// StepSeries is a TraceSink, so it plugs into RunConfig::trace on any
-// engine (the parallel engine's barrier merge delivers events in step
-// order, same as the serial engines).  It turns the event stream into
-// per-step vectors:
+// StepSeries is a TraceSink, so it plugs into RunConfig::trace on either
+// engine (the sharded engine flushes events window by window, so a
+// window's steps arrive interleaved across shards; the series buckets by
+// each event's step, so the result matches the stepped engine's).  It
+// turns the event stream into per-step vectors:
 //   * colored(t)        - cumulative colored-node count at end of step t;
 //   * sends by phase    - gossip / correction / SOS / tree emissions;
 //   * delivers(t)       - messages processed at step t;

@@ -332,8 +332,10 @@ class Heartbeat {
     std::lock_guard<std::mutex> lock(mu_);
     if (t < next_due_s_.load(std::memory_order_relaxed)) return;
     emit(done, total, failures, t);
-    next_due_s_.store(t + (interval_ > 0 ? interval_ : 0),
-                      std::memory_order_relaxed);
+    // With no interval the due time stays 0: a concurrent beat whose t
+    // was read before this one's must still emit.
+    if (interval_ > 0)
+      next_due_s_.store(t + interval_, std::memory_order_relaxed);
   }
 
   /// Unconditional emit (final summary line).

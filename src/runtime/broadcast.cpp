@@ -6,8 +6,8 @@
 #include "gossip/ccg.hpp"
 #include "gossip/fcg.hpp"
 #include "gossip/ocg.hpp"
-#include "runtime/parallel_engine.hpp"
 #include "runtime/thread_pool.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace cg {
 
@@ -48,14 +48,14 @@ BroadcastReport reliable_broadcast(const BroadcastOptions& opts,
       OcgNode::Params p;
       p.T = tuned.acfg.T;
       p.corr_sends = tuned.acfg.ocg_corr_sends;
-      ParallelEngine<OcgNode> eng(rcfg, p, threads);
+      ShardedEngine<OcgNode> eng(rcfg, p, threads);
       m = eng.run();
       break;
     }
     case Algo::kCcg: {
       CcgNode::Params p;
       p.T = tuned.acfg.T;
-      ParallelEngine<CcgNode> eng(rcfg, p, threads);
+      ShardedEngine<CcgNode> eng(rcfg, p, threads);
       m = eng.run();
       break;
     }
@@ -63,7 +63,7 @@ BroadcastReport reliable_broadcast(const BroadcastOptions& opts,
       FcgNode::Params p;
       p.T = tuned.acfg.T;
       p.f = opts.f;
-      ParallelEngine<FcgNode> eng(rcfg, p, threads);
+      ShardedEngine<FcgNode> eng(rcfg, p, threads);
       m = eng.run();
       break;
     }

@@ -1,8 +1,8 @@
-// Sense-reversing (epoch) barrier for the parallel engine's step loop.
+// Sense-reversing (epoch) barrier for the sharded engine's window loop.
 //
 // std::barrier burns two atomic phases per arrival (it supports arrive-
 // and-drop and token-based waits we never use); on the engine's hot path
-// every step crosses a barrier, so the cost per crossing matters.  This
+// every window crosses a barrier, so the cost per crossing matters.  This
 // barrier is the classic counter+epoch scheme: arrivals increment a
 // counter, the last arrival runs the completion function, resets the
 // counter and bumps the epoch; everyone else spins briefly on the epoch
@@ -17,7 +17,7 @@
 // The spin budget should be ~0 when the process is oversubscribed
 // (more runnable threads than cores): spinning there just steals the
 // timeslice the last arriver needs.  Callers pick the budget; see
-// ParallelEngine for the hardware_concurrency-based choice.
+// ShardedEngine::run for the hardware_concurrency-based choice.
 #pragma once
 
 #include <atomic>

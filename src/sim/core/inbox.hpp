@@ -1,17 +1,13 @@
-// Per-node receive queue for RxPolicy::kOnePerStep, shared by every
-// execution engine.
+// Receive queues for RxPolicy::kOnePerStep: InboxBuf, one per node, in
+// the stepped engine, and InboxSlab, one per shard, in the sharded engine.
 //
-// A vector-backed FIFO with a consumed-prefix index: push_back appends,
-// pop_front bumps the head, and the buffer compacts only when fully
-// drained or when the dead prefix dominates.  Compared with the
-// std::deque<Message> the engines used before, pushes never allocate a
-// chunk after warm-up (the vector's capacity is recycled across steps,
-// the same slot-reuse discipline as the event kernel's slab), and the
-// storage is contiguous, which the engines rely on to canonically sort
-// each step's newly arrived tail (rx_order_before) with std::sort.
-//
-// Thread-safety contract (parallel engine): one InboxBuf per node, only
-// ever touched by the node's owner worker.
+// InboxBuf is a vector-backed FIFO with a consumed-prefix index:
+// push_back appends, pop_front bumps the head, and the buffer compacts
+// only when fully drained or when the dead prefix dominates.  Compared
+// with a std::deque<Message>, pushes never allocate a chunk after warm-up
+// (the vector's capacity is recycled across steps), and the storage is
+// contiguous, which the stepped engine relies on to canonically sort each
+// step's newly arrived tail (rx_order_before) with std::sort.
 #pragma once
 
 #include <cstddef>

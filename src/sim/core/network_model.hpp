@@ -7,13 +7,13 @@
 // slowdown, transient partitions).  Loss, jitter and the burst chain each
 // draw from a DEDICATED per-sender RNG stream, and a sender's messages are
 // routed in program order on every engine, so the fate of each message is
-// bit-identical across the stepped, event-driven and parallel engines (and
-// across thread counts) for a given seed.  See docs/FAULTS.md for the full
+// bit-identical across the stepped and sharded engines (and across shard
+// counts) for a given seed.  See docs/FAULTS.md for the full
 // determinism/parity contract.
 //
-// Thread-safety contract (parallel engine): route(from, ...) mutates only
+// Thread-safety contract (sharded engine): route(from, ...) mutates only
 // the sender's streams and chain state, and node `from`'s callbacks run
-// only on its owner worker, so concurrent route() calls for different
+// only on its owner shard, so concurrent route() calls for different
 // senders never race.
 #pragma once
 
@@ -175,8 +175,8 @@ class NetworkModel {
 
 /// Per-tag message-work accounting, identical across engines (the serial
 /// engine's convention is canonical: pull requests count as gossip work,
-/// tree/ack/nack as tree work).  The parallel engine keeps one instance per
-/// worker and merges at the end of the run.
+/// tree/ack/nack as tree work).  The sharded engine keeps one instance per
+/// shard and merges at the end of the run.
 struct MessageCounts {
   std::int64_t total = 0;
   std::int64_t gossip = 0;

@@ -9,12 +9,11 @@
 //   * per-phase wall time, attributed per engine:
 //       - stepped:  deliver_s = failures + message deliveries,
 //                   tick_s = the tick sweep;
-//       - async:    handler time split by the internal phase that fired
-//                   (arrival/rx -> deliver_s, tick -> tick_s);
-//       - parallel: deliver_s = slowest worker's phase-A compute (deliver +
-//                   tick, not separable per node without per-node timers),
-//                   route_s = slowest worker's phase-B routing.  Barrier
-//                   wait time is excluded.
+//       - sharded:  deliver_s = slowest shard's phase-A compute (the
+//                   window's deliveries + ticks, not separable per node
+//                   without per-node timers), route_s = slowest shard's
+//                   phase-B boundary drain.  Barrier wait time is
+//                   excluded.
 #pragma once
 
 #include <chrono>
@@ -71,18 +70,12 @@ struct EngineProfile {
   std::int64_t callbacks_start = 0;
   std::int64_t callbacks_receive = 0;
   std::int64_t callbacks_tick = 0;
-  // Scheduling-substrate counters.  What a "queue event" is depends on the
-  // engine: the async engine reports its calendar-queue kernel ops (ticks,
-  // delivery sweeps, rx pops, failures - EventQueue::Stats), the stepped
-  // and parallel engines report delivery-calendar ops (scheduled = routed
-  // messages, fired = messages consumed).  Within one engine the
-  // invariants hold: fired + cancelled <= scheduled, and a drained run
-  // ends with fired + cancelled == scheduled.
+  // Delivery-calendar counters: scheduled = routed messages, fired =
+  // messages consumed.  fired <= scheduled, and a drained run ends with
+  // fired == scheduled.
   std::int64_t events_scheduled = 0;
   std::int64_t events_fired = 0;
-  std::int64_t events_cancelled = 0;
-  std::int64_t queue_max_bucket = 0;  ///< peak one-bucket/slot occupancy
-  std::int64_t queue_slot_capacity = 0;  ///< slab plateau (async kernel only)
+  std::int64_t queue_max_bucket = 0;  ///< peak one-slot occupancy
   Step steps = 0;
   double wall_s = 0;
   double deliver_s = 0;

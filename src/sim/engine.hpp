@@ -14,9 +14,10 @@
 // The model itself lives in src/sim/core/: NetworkModel (delays, jitter,
 // per-link extras, loss), NodeStateStore (lifecycle + RunMetrics
 // finalization), SendGate (emission rate limit) and BasicCtx (the protocol
-// -facing API).  This engine, the event-driven AsyncEngine and the
-// multi-threaded ParallelEngine are three schedulers over that one model
-// and produce identical RunMetrics (tests/test_engine_parity.cpp).
+// -facing API).  This engine - the reference oracle - and the window-
+// sharded ShardedEngine (sim/sharded_engine.hpp) are two schedulers over
+// that one model and produce identical RunMetrics and canonical traces
+// (tests/test_engine_parity.cpp).
 //
 // Protocol (Node) requirements - a Node type must provide:
 //   struct Params {...};

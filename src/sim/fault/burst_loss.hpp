@@ -13,7 +13,7 @@
 // is advanced lazily - route(from, ...) catches the chain up to `now`
 // with exactly (now - last_advanced) transition draws - so the draw
 // sequence depends only on the sender's send times, which are identical
-// across the stepped, event-driven and parallel engines.  Advancing per
+// across the stepped and sharded engines.  Advancing per
 // step rather than per message also means a retransmit backoff actually
 // escapes a burst: waiting longer really does give the channel time to
 // recover.

@@ -21,14 +21,27 @@
 //   phase B: drain every other shard's parity outbox into the private
 //            calendar (owned destinations only).
 //
-// One barrier per WINDOW (the parallel engine pays one per STEP); the
-// second barrier is avoided with the same parity-double-buffered outboxes
-// (see runtime/parallel_engine.hpp).  Each due calendar slot is sorted by
-// (send step, sender) before dispatch - a unique key, since the SendGate
-// admits one emission per node per step - which realizes the canonical
-// (step, sender, dest) boundary-exchange order without caring how or when
-// entries were inserted, so traces and metrics are byte-identical across
-// shard counts (tests/test_sharded_engine.cpp sweeps {1, 2, 8}).
+// One barrier per WINDOW, not one per step.  A second barrier (between
+// phase B and the next phase A) is not needed either: the outboxes are
+// double-buffered by window parity.  Phase A of window k writes
+// outbox[k&1], phase B of window k+1 reads every shard's outbox[k&1], and
+// the owner clears that buffer again only in phase A of window k+2 - by
+// which point every reader has long since passed the barrier after window
+// k+1, so no synchronization is needed.  Phase B writes only the calendar
+// of the shard running it, and phase A reads only its own calendar, so
+// one shard's phase B may overlap another's phase A freely.
+//
+// Ownership: the contiguous blocks are rounded up to a 64-node boundary,
+// so the per-node byte arrays and bitmap words a shard mutates never
+// share a cache line (or a word) with another shard's - the false
+// sharing a modulo striding of nodes would cause.
+//
+// Each due calendar slot is sorted by (send step, sender) before
+// dispatch - a unique key, since the SendGate admits one emission per
+// node per step - which realizes the canonical (step, sender, dest)
+// boundary-exchange order without caring how or when entries were
+// inserted, so traces and metrics are byte-identical across shard counts
+// (tests/test_sharded_engine.cpp sweeps {1, 2, 8}).
 //
 // Crash schedules are applied LAZILY, which is what lets a shard run past
 // global quiescence without rollback: a kill becomes visible the moment
@@ -349,7 +362,11 @@ class ShardedEngine {
   }
 
   /// Execute one window [win_lo, win_hi) on shard `sidx` (phase A).
-  void run_window(int sidx, Step win_lo, Step win_hi);
+  /// Cache-line aligned for the same reason as Engine::run_impl: the
+  /// window loops' position modulo 64 bytes then depends only on this
+  /// function's own code, not on the size of unrelated code linked
+  /// before it (docs/PERF.md section 8).
+  [[gnu::aligned(64)]] void run_window(int sidx, Step win_lo, Step win_hi);
 
   void fold_deltas() {
     for (auto& st : shards_) {
@@ -572,7 +589,7 @@ template <class Node>
 RunMetrics ShardedEngine<Node>::run() {
   const auto n = static_cast<std::size_t>(cfg_.n);
   // 64-aligned contiguous blocks: bitmap words and byte arrays stay
-  // owner-disjoint (see runtime/parallel_engine.hpp).
+  // owner-disjoint (see the file comment).
   block_ = (cfg_.n + static_cast<NodeId>(nshards_) - 1) /
            static_cast<NodeId>(nshards_);
   block_ = ((block_ + 63) / 64) * 64;

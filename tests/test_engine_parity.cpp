@@ -1,15 +1,14 @@
-// Cross-engine parity: the stepped, event-driven, parallel and window-
-// sharded engines all execute on the shared simulation core
-// (src/sim/core/) and must produce
-// IDENTICAL metrics for the same RunConfig - including with per-message
-// jitter, message loss, pre-run and online failures, and both receive
-// policies - for every corrected-gossip protocol.
+// Cross-engine parity: the stepped and window-sharded engines both
+// execute on the shared simulation core (src/sim/core/) and must produce
+// IDENTICAL metrics for the same RunConfig, at every shard count -
+// including with per-message jitter, message loss, pre-run and online
+// failures, and both receive policies - for every corrected-gossip
+// protocol.
 //
 // These tests carry the ctest label `sanitize`, so the tsan preset runs
 // the multi-threaded executions under ThreadSanitizer.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <random>
 #include <set>
@@ -19,14 +18,12 @@
 
 #include "harness/runner.hpp"
 #include "obs/trace_sinks.hpp"
+#include "sim/topology.hpp"
 #include "sim/trace.hpp"
 
 namespace cg {
 namespace {
 
-// t_end is deliberately excluded: the engines agree on every event's step,
-// but report the quiescence point itself off-by-scheduling (the stepped
-// loop runs one trailing empty step).
 void expect_same(const RunMetrics& a, const RunMetrics& b) {
   EXPECT_EQ(a.n_total, b.n_total);
   EXPECT_EQ(a.n_active, b.n_active);
@@ -44,6 +41,7 @@ void expect_same(const RunMetrics& a, const RunMetrics& b) {
   EXPECT_EQ(a.t_last_delivered, b.t_last_delivered);
   EXPECT_EQ(a.t_complete, b.t_complete);
   EXPECT_EQ(a.t_root_complete, b.t_root_complete);
+  EXPECT_EQ(a.t_end, b.t_end);
   EXPECT_EQ(a.all_active_colored, b.all_active_colored);
   EXPECT_EQ(a.all_active_delivered, b.all_active_delivered);
   EXPECT_EQ(a.sos_triggered, b.sos_triggered);
@@ -107,18 +105,12 @@ TEST_P(EnginesAgree, OnHarshNetwork) {
 
   const RunMetrics serial =
       run_once(algo, acfg, cfg, {EngineKind::kStepped, 1});
-  const RunMetrics async = run_once(algo, acfg, cfg, {EngineKind::kAsync, 1});
-  const RunMetrics par2 =
-      run_once(algo, acfg, cfg, {EngineKind::kParallel, 2});
-  const RunMetrics par5 =
-      run_once(algo, acfg, cfg, {EngineKind::kParallel, 5});
-  const RunMetrics sh2 = run_once(algo, acfg, cfg, {EngineKind::kSharded, 2});
-
   SCOPED_TRACE(algo_name(algo));
-  expect_same(serial, async);
-  expect_same(serial, par2);
-  expect_same(serial, par5);
-  expect_same(serial, sh2);
+  for (const int shards : {1, 2, 5}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    expect_same(serial,
+                run_once(algo, acfg, cfg, {EngineKind::kSharded, shards}));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -145,15 +137,12 @@ TEST_P(EnginesAgreeOnFaults, FullFaultStack) {
 
   const RunMetrics serial =
       run_once(algo, acfg, cfg, {EngineKind::kStepped, 1});
-  const RunMetrics async = run_once(algo, acfg, cfg, {EngineKind::kAsync, 1});
-  const RunMetrics par3 =
-      run_once(algo, acfg, cfg, {EngineKind::kParallel, 3});
-  const RunMetrics sh4 = run_once(algo, acfg, cfg, {EngineKind::kSharded, 4});
-
   SCOPED_TRACE(algo_name(algo));
-  expect_same(serial, async);
-  expect_same(serial, par3);
-  expect_same(serial, sh4);
+  for (const int shards : {1, 3, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    expect_same(serial,
+                run_once(algo, acfg, cfg, {EngineKind::kSharded, shards}));
+  }
   if (reliable) {
     EXPECT_GT(serial.msgs_retrans, 0);  // bursts force retries
   }
@@ -169,7 +158,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Acceptance check for the fault layer: the canonically sorted JSONL trace
 // of a run under every fault model at once - including kLost and kRestart
-// events - is BYTE-IDENTICAL across all three engines.
+// events - is BYTE-IDENTICAL across both engines and any shard count.
 TEST(EngineParity, FaultTraceJsonlIsByteIdenticalAcrossEngines) {
   AlgoConfig acfg = algo_cfg(Algo::kCcg);
   acfg.reliable.enabled = true;
@@ -189,11 +178,49 @@ TEST(EngineParity, FaultTraceJsonlIsByteIdenticalAcrossEngines) {
   EXPECT_FALSE(serial.empty());
   EXPECT_NE(serial.find("\"lost\""), std::string::npos);
   EXPECT_NE(serial.find("\"restart\""), std::string::npos);
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kAsync, 1));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kParallel, 2));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kParallel, 5));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 1));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 3));
+  for (const int shards : {1, 2, 3, 5})
+    EXPECT_EQ(serial, canonical_jsonl(EngineKind::kSharded, shards))
+        << "shards=" << shards;
+}
+
+// Two paths the fault sweeps rarely reach: heterogeneous per-link latency
+// (a two-level rack topology stretches the delivery calendar past the
+// sharded engine's window) and FCG's SOS flood (a lone root with T = 0
+// wraps straight into SOS).
+TEST(EngineParity, LinkExtrasAndSosPathMatch) {
+  auto check = [](Algo algo, const AlgoConfig& acfg, const RunConfig& cfg) {
+    const RunMetrics serial =
+        run_once(algo, acfg, cfg, {EngineKind::kStepped, 1});
+    for (const int shards : {1, 2}) {
+      SCOPED_TRACE(std::string(algo_name(algo)) +
+                   " shards=" + std::to_string(shards));
+      expect_same(serial,
+                  run_once(algo, acfg, cfg, {EngineKind::kSharded, shards}));
+    }
+    return serial;
+  };
+  {
+    RunConfig cfg;
+    cfg.n = 128;
+    cfg.logp = LogP::unit();
+    cfg.seed = 8;
+    cfg.link_extra = two_level_topology(16, 4);
+    cfg.link_extra_max = 4;
+    AlgoConfig acfg;
+    acfg.T = 15;
+    acfg.drain_extra = 4;
+    EXPECT_TRUE(check(Algo::kCcg, acfg, cfg).all_active_colored);
+  }
+  {
+    RunConfig cfg;
+    cfg.n = 130;
+    cfg.logp = LogP::unit();
+    cfg.seed = 2;
+    AlgoConfig acfg;
+    acfg.T = 0;
+    acfg.fcg_f = 1;
+    EXPECT_TRUE(check(Algo::kFcg, acfg, cfg).sos_triggered);
+  }
 }
 
 // Node-level agreement: with record_node_detail every per-node coloring /
@@ -204,67 +231,21 @@ TEST(EngineParity, NodeDetailMatchesAcrossEngines) {
   const AlgoConfig acfg = algo_cfg(Algo::kFcg);
   const RunMetrics serial =
       run_once(Algo::kFcg, acfg, cfg, {EngineKind::kStepped, 1});
-  const RunMetrics async =
-      run_once(Algo::kFcg, acfg, cfg, {EngineKind::kAsync, 1});
-  const RunMetrics par =
-      run_once(Algo::kFcg, acfg, cfg, {EngineKind::kParallel, 3});
-  const RunMetrics sh =
-      run_once(Algo::kFcg, acfg, cfg, {EngineKind::kSharded, 2});
-  EXPECT_EQ(serial.colored_at, async.colored_at);
-  EXPECT_EQ(serial.colored_at, par.colored_at);
-  EXPECT_EQ(serial.colored_at, sh.colored_at);
-  EXPECT_EQ(serial.delivered_at, async.delivered_at);
-  EXPECT_EQ(serial.delivered_at, par.delivered_at);
-  EXPECT_EQ(serial.delivered_at, sh.delivered_at);
-  EXPECT_EQ(serial.completed_at, async.completed_at);
-  EXPECT_EQ(serial.completed_at, par.completed_at);
-  EXPECT_EQ(serial.completed_at, sh.completed_at);
-}
-
-using EvKey = std::tuple<Step, int, NodeId, NodeId, int>;
-
-std::vector<EvKey> sorted_keys(const VectorTrace& t) {
-  std::vector<EvKey> keys;
-  keys.reserve(t.events().size());
-  for (const auto& ev : t.events())
-    keys.emplace_back(ev.step, static_cast<int>(ev.kind), ev.node, ev.peer,
-                      static_cast<int>(ev.tag));
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-// The parallel engine merges per-worker trace buffers at the step barrier;
-// within a step the worker interleaving is engine-specific, so compare the
-// event MULTISET, which must match the serial trace exactly.
-TEST(EngineParity, ParallelTraceMatchesSerialMultiset) {
-  const AlgoConfig acfg = algo_cfg(Algo::kCcg);
-  VectorTrace serial_trace, par_trace;
-  RunConfig cfg = harsh_cfg(11, RxPolicy::kDrainAll);
-  cfg.trace = &serial_trace;
-  run_once(Algo::kCcg, acfg, cfg, {EngineKind::kStepped, 1});
-  cfg.trace = &par_trace;
-  run_once(Algo::kCcg, acfg, cfg, {EngineKind::kParallel, 4});
-  EXPECT_FALSE(serial_trace.events().empty());
-  EXPECT_EQ(sorted_keys(serial_trace), sorted_keys(par_trace));
-}
-
-// The event-driven engine also traces; same multiset as the serial engine.
-TEST(EngineParity, AsyncTraceMatchesSerialMultiset) {
-  const AlgoConfig acfg = algo_cfg(Algo::kOcg);
-  VectorTrace serial_trace, async_trace;
-  RunConfig cfg = harsh_cfg(2, RxPolicy::kDrainAll);
-  cfg.trace = &serial_trace;
-  run_once(Algo::kOcg, acfg, cfg, {EngineKind::kStepped, 1});
-  cfg.trace = &async_trace;
-  run_once(Algo::kOcg, acfg, cfg, {EngineKind::kAsync, 1});
-  EXPECT_FALSE(serial_trace.events().empty());
-  EXPECT_EQ(sorted_keys(serial_trace), sorted_keys(async_trace));
+  for (const int shards : {1, 2, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const RunMetrics sh =
+        run_once(Algo::kFcg, acfg, cfg, {EngineKind::kSharded, shards});
+    EXPECT_EQ(serial.colored_at, sh.colored_at);
+    EXPECT_EQ(serial.delivered_at, sh.delivered_at);
+    EXPECT_EQ(serial.completed_at, sh.completed_at);
+  }
 }
 
 // Strongest trace-parity statement: after canonical sorting, the JSONL
-// serialization of a kOnePerStep run is BYTE-IDENTICAL across all three
-// engines.  (Raw emission order differs - worker interleaving, heap order -
-// which is exactly what obs::canonical_sort exists to factor out.)
+// serialization of a kOnePerStep run is BYTE-IDENTICAL across both
+// engines.  (Raw emission order differs - the sharded engine flushes
+// per-shard trace buffers window by window - which is exactly what
+// obs::canonical_sort exists to factor out.)
 TEST(EngineParity, CanonicalJsonlIsByteIdenticalAcrossEngines) {
   const AlgoConfig acfg = algo_cfg(Algo::kFcg);
   const RunConfig base = harsh_cfg(17, RxPolicy::kOnePerStep);
@@ -281,10 +262,9 @@ TEST(EngineParity, CanonicalJsonlIsByteIdenticalAcrossEngines) {
 
   const std::string serial = canonical_jsonl(EngineKind::kStepped, 1);
   EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kAsync, 1));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kParallel, 2));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kParallel, 5));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 2));
+  for (const int shards : {1, 2, 5})
+    EXPECT_EQ(serial, canonical_jsonl(EngineKind::kSharded, shards))
+        << "shards=" << shards;
 }
 
 // The engines' self-profiles must agree on the callback counts (they run
@@ -302,24 +282,16 @@ TEST(EngineParity, ProfileCallbackCountsMatchAcrossEngines) {
   };
 
   const EngineProfile serial = profiled(EngineKind::kStepped, 1);
-  const EngineProfile async = profiled(EngineKind::kAsync, 1);
-  const EngineProfile par = profiled(EngineKind::kParallel, 3);
   const EngineProfile sh = profiled(EngineKind::kSharded, 3);
   EXPECT_GT(serial.callbacks_receive, 0);
   EXPECT_GT(serial.callbacks_tick, 0);
-  EXPECT_EQ(serial.callbacks_start, async.callbacks_start);
-  EXPECT_EQ(serial.callbacks_receive, async.callbacks_receive);
-  EXPECT_EQ(serial.callbacks_tick, async.callbacks_tick);
-  EXPECT_EQ(serial.callbacks_start, par.callbacks_start);
-  EXPECT_EQ(serial.callbacks_receive, par.callbacks_receive);
-  EXPECT_EQ(serial.callbacks_tick, par.callbacks_tick);
   EXPECT_EQ(serial.callbacks_start, sh.callbacks_start);
   EXPECT_EQ(serial.callbacks_receive, sh.callbacks_receive);
   EXPECT_EQ(serial.callbacks_tick, sh.callbacks_tick);
 
   // Memory-plan accounting: every engine reports a positive per-node
   // footprint and the process peak RSS.
-  for (const EngineProfile* p : {&serial, &async, &par, &sh}) {
+  for (const EngineProfile* p : {&serial, &sh}) {
     EXPECT_GT(p->bytes_per_node, 0);
     EXPECT_GT(p->peak_rss_bytes, 0);
   }
@@ -329,39 +301,24 @@ TEST(EngineParity, ProfileCallbackCountsMatchAcrossEngines) {
   EXPECT_EQ(static_cast<int>(sh.shard_stats.size()), 3);
   EXPECT_GT(sh.boundary_msgs, 0);  // 3 shards on 150 nodes must cross
 
-  // Queue instrumentation.  The stepped engines count delivery-calendar
-  // traffic (one event per undropped message), so serial and parallel must
-  // agree exactly, every staged message must drain, and nothing cancels.
+  // Queue instrumentation.  Both engines count delivery-calendar traffic
+  // (one event per undropped message), so they must agree exactly and
+  // every staged message must drain.
   EXPECT_GT(serial.events_scheduled, 0);
   EXPECT_EQ(serial.events_fired, serial.events_scheduled);
-  EXPECT_EQ(serial.events_cancelled, 0);
-  EXPECT_EQ(par.events_scheduled, serial.events_scheduled);
-  EXPECT_EQ(par.events_fired, serial.events_fired);
-  EXPECT_EQ(par.events_cancelled, 0);
+  EXPECT_EQ(sh.events_scheduled, serial.events_scheduled);
+  EXPECT_EQ(sh.events_fired, serial.events_fired);
   EXPECT_GE(serial.queue_max_bucket, 1);
-  EXPECT_GE(par.queue_max_bucket, 1);
-
-  // The async engine counts kernel operations (ticks, delivery sweeps, rx
-  // pops, crash events) - a different unit, but the run drained the queue,
-  // so the operation ledger must balance, and the slot pool must have hit a
-  // recycling plateau far below the total operation count (the zero-
-  // allocation steady-state contract: live slots stay O(n), never O(events)).
-  EXPECT_GT(async.events_scheduled, 0);
-  EXPECT_EQ(async.events_fired + async.events_cancelled,
-            async.events_scheduled);
-  EXPECT_GE(async.queue_max_bucket, 1);
-  EXPECT_GT(async.queue_slot_capacity, 0);
-  EXPECT_LT(async.queue_slot_capacity, async.events_scheduled);
-  EXPECT_LE(async.queue_slot_capacity, 8 * base.n + 64);
+  EXPECT_GE(sh.queue_max_bucket, 1);
 }
 
 // ~100-seed randomized property test: a fresh fault stack per seed (jitter,
 // i.i.d. + burst loss, pre/online failures, crash-restarts, stragglers,
 // partitions, reliable sublayer, both rx policies, all four protocols), with
 // the canonically sorted JSONL trace required to be BYTE-IDENTICAL between
-// the stepped and event-driven engines (and the parallel engine on every
-// 10th seed).  This is the adversarial sweep for the event-kernel rewrite:
-// any batching or calendar-ordering slip shows up as a trace diff.
+// the stepped engine and the sharded engine (shard count cycling 1, 2, 3
+// over the seeds).  Any batching, lazy-crash or calendar-ordering slip
+// shows up as a trace diff.
 TEST(EngineParity, RandomizedFaultStacksTraceByteParity) {
   constexpr int kSeeds = 100;
   for (int seed = 1; seed <= kSeeds; ++seed) {
@@ -430,45 +387,8 @@ TEST(EngineParity, RandomizedFaultStacksTraceByteParity) {
                  std::string(algo_name(algo)) + " n=" + std::to_string(cfg.n));
     const std::string serial = canonical_jsonl(EngineKind::kStepped, 1);
     ASSERT_FALSE(serial.empty());
-    ASSERT_EQ(serial, canonical_jsonl(EngineKind::kAsync, 1));
-    if (seed % 10 == 0) {
-      ASSERT_EQ(serial, canonical_jsonl(EngineKind::kParallel, 3));
-    }
-    if (seed % 5 == 0) {
-      ASSERT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 2));
-    }
+    ASSERT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 1 + seed % 3));
   }
-}
-
-// Acceptance spot-checks for the capabilities this PR unlocks.
-
-TEST(EngineParity, ParallelEngineSupportsDropProb) {
-  RunConfig cfg;
-  cfg.n = 96;
-  cfg.logp = LogP::unit();
-  cfg.seed = 5;
-  cfg.drop_prob = 0.15;
-  const AlgoConfig acfg = algo_cfg(Algo::kCcg);
-  const RunMetrics serial =
-      run_once(Algo::kCcg, acfg, cfg, {EngineKind::kStepped, 1});
-  const RunMetrics par =
-      run_once(Algo::kCcg, acfg, cfg, {EngineKind::kParallel, 3});
-  expect_same(serial, par);
-  EXPECT_TRUE(serial.all_active_colored);  // CCG corrects through 15% loss
-}
-
-TEST(EngineParity, AsyncEngineSupportsOnePerStep) {
-  RunConfig cfg;
-  cfg.n = 64;
-  cfg.logp = LogP::unit();
-  cfg.seed = 9;
-  cfg.rx = RxPolicy::kOnePerStep;
-  const AlgoConfig acfg = algo_cfg(Algo::kGos);
-  const RunMetrics serial =
-      run_once(Algo::kGos, acfg, cfg, {EngineKind::kStepped, 1});
-  const RunMetrics async =
-      run_once(Algo::kGos, acfg, cfg, {EngineKind::kAsync, 1});
-  expect_same(serial, async);
 }
 
 }  // namespace

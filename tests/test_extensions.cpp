@@ -11,7 +11,7 @@
 #include "harness/runner.hpp"
 #include "gossip/timing.hpp"
 #include "proto/dedup.hpp"
-#include "runtime/parallel_engine.hpp"
+#include "sim/sharded_engine.hpp"
 #include "sim/topology.hpp"
 
 namespace cg {
@@ -216,7 +216,7 @@ TEST(Jitter, DeterministicAndMatchesAcrossEngines) {
   p.T = 12;
   Engine<CcgNode> serial1(cfg, p);
   Engine<CcgNode> serial2(cfg, p);
-  ParallelEngine<CcgNode> par(cfg, p, 3);
+  ShardedEngine<CcgNode> par(cfg, p, 3);
   const RunMetrics a = serial1.run();
   const RunMetrics b = serial2.run();
   const RunMetrics c = par.run();

@@ -262,7 +262,7 @@ TEST(StepSeries, TotalsMatchRunMetrics) {
   EXPECT_NE(json.find("\"ring_watermark\""), std::string::npos);
 }
 
-TEST(StepSeries, ParallelEngineMergePathMatchesSerial) {
+TEST(StepSeries, ShardedMergePathMatchesSerial) {
   AlgoConfig acfg;
   acfg.T = 16;
   auto run_series = [&](EngineKind kind, int threads, obs::StepSeries& out) {
@@ -277,7 +277,7 @@ TEST(StepSeries, ParallelEngineMergePathMatchesSerial) {
   };
   obs::StepSeries serial, par;
   run_series(EngineKind::kStepped, 1, serial);
-  run_series(EngineKind::kParallel, 3, par);
+  run_series(EngineKind::kSharded, 3, par);
   EXPECT_EQ(serial.colored_cumulative(), par.colored_cumulative());
   EXPECT_EQ(serial.sends_total(), par.sends_total());
   EXPECT_EQ(serial.delivers(), par.delivers());

@@ -1,5 +1,6 @@
-// Parallel engine: thread-count invariance and exact agreement with the
-// serial engine for the corrected-gossip protocols; broadcast facade.
+// Multi-threaded runs: the sharded engine's shard-count invariance and
+// exact agreement with the serial engine for the corrected-gossip
+// protocols and BIG; the broadcast facade that runs on it.
 #include <gtest/gtest.h>
 
 #include "baselines/big.hpp"
@@ -9,7 +10,7 @@
 #include "gossip/ocg.hpp"
 #include "harness/runner.hpp"
 #include "runtime/broadcast.hpp"
-#include "runtime/parallel_engine.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace cg {
 namespace {
@@ -41,7 +42,7 @@ TEST_P(ParallelMatchesSerial, Ccg) {
   CcgNode::Params p;
   p.T = 14;
   Engine<CcgNode> serial(cfg_n(200, seed), p);
-  ParallelEngine<CcgNode> par(cfg_n(200, seed), p, threads);
+  ShardedEngine<CcgNode> par(cfg_n(200, seed), p, threads);
   expect_same(serial.run(), par.run());
 }
 
@@ -51,7 +52,7 @@ TEST_P(ParallelMatchesSerial, Ocg) {
   p.T = 14;
   p.corr_sends = 8;
   Engine<OcgNode> serial(cfg_n(200, seed), p);
-  ParallelEngine<OcgNode> par(cfg_n(200, seed), p, threads);
+  ShardedEngine<OcgNode> par(cfg_n(200, seed), p, threads);
   expect_same(serial.run(), par.run());
 }
 
@@ -61,7 +62,7 @@ TEST_P(ParallelMatchesSerial, Fcg) {
   p.T = 14;
   p.f = 1;
   Engine<FcgNode> serial(cfg_n(200, seed), p);
-  ParallelEngine<FcgNode> par(cfg_n(200, seed), p, threads);
+  ShardedEngine<FcgNode> par(cfg_n(200, seed), p, threads);
   expect_same(serial.run(), par.run());
 }
 
@@ -74,7 +75,7 @@ TEST_P(ParallelMatchesSerial, FcgWithOnlineFailures) {
   p.T = 14;
   p.f = 2;
   Engine<FcgNode> serial(cfg, p);
-  ParallelEngine<FcgNode> par(cfg, p, threads);
+  ShardedEngine<FcgNode> par(cfg, p, threads);
   const RunMetrics a = serial.run();
   const RunMetrics b = par.run();
   expect_same(a, b);
@@ -86,14 +87,14 @@ TEST_P(ParallelMatchesSerial, Gos) {
   GosNode::Params p;
   p.T = 16;
   Engine<GosNode> serial(cfg_n(200, seed), p);
-  ParallelEngine<GosNode> par(cfg_n(200, seed), p, threads);
+  ShardedEngine<GosNode> par(cfg_n(200, seed), p, threads);
   expect_same(serial.run(), par.run());
 }
 
 TEST_P(ParallelMatchesSerial, Big) {
   const auto [threads, seed] = GetParam();
   Engine<BigNode> serial(cfg_n(200, seed), BigNode::Params{});
-  ParallelEngine<BigNode> par(cfg_n(200, seed), BigNode::Params{}, threads);
+  ShardedEngine<BigNode> par(cfg_n(200, seed), BigNode::Params{}, threads);
   expect_same(serial.run(), par.run());
 }
 

@@ -10,6 +10,7 @@
 // the multi-shard executions under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <random>
 #include <set>
@@ -22,6 +23,7 @@
 #include "obs/trace_sinks.hpp"
 #include "sim/core/bitset.hpp"
 #include "sim/core/inbox.hpp"
+#include "sim/engine.hpp"
 #include "sim/sharded_engine.hpp"
 #include "sim/trace.hpp"
 
@@ -124,10 +126,8 @@ TEST(ShardedEngine, ShardCountInvarianceUnderFaultStacks) {
   }
 }
 
-// The sharded engine agrees with the stepped reference INCLUDING t_end
-// (test_engine_parity.cpp excludes t_end because the async engine reports
-// quiescence off-by-scheduling; the sharded engine reconstructs the
-// stepped engine's exit step exactly).
+// The sharded engine agrees with the stepped reference INCLUDING t_end:
+// it reconstructs the stepped engine's exit step exactly.
 TEST(ShardedEngine, MatchesSteppedIncludingExitStep) {
   for (const auto rx : {RxPolicy::kDrainAll, RxPolicy::kOnePerStep}) {
     RunConfig cfg;
@@ -241,6 +241,115 @@ TEST(ShardedEngine, DirectConstruction) {
   EXPECT_GT(m.n_colored, 0);
   EXPECT_EQ(prof.shards, 2);
   EXPECT_GT(prof.callbacks_tick, 0);
+}
+
+// Minimal protocol with a quiet stretch: the root sends once at step 0 to
+// `relay` and completes; `relay` forwards once to `target` on receive and
+// completes.  No node ever ticks, so nothing happens between the arrivals.
+class QuietRelayNode {
+ public:
+  struct Params {
+    NodeId relay = 1;
+    NodeId target = 2;
+  };
+  QuietRelayNode(const Params& p, NodeId self, NodeId) : p_(p), self_(self) {}
+
+  template <class Ctx>
+  void on_start(Ctx& ctx) {
+    if (!ctx.is_root()) return;
+    ctx.mark_colored();
+    ctx.deliver();
+    send(ctx, p_.relay);
+    ctx.complete();
+  }
+
+  template <class Ctx>
+  void on_receive(Ctx& ctx, const Message&) {
+    ctx.mark_colored();
+    ctx.deliver();
+    if (self_ == p_.relay) send(ctx, p_.target);
+    ctx.complete();
+  }
+
+  template <class Ctx>
+  void on_tick(Ctx&) {}
+
+ private:
+  template <class Ctx>
+  static void send(Ctx& ctx, NodeId to) {
+    Message m;
+    m.tag = Tag::kGossip;
+    m.time = ctx.now();
+    ctx.send(to, m);
+  }
+
+  Params p_;
+  NodeId self_;
+};
+
+// A crash scheduled for the step a message arrives must win over that
+// arrival, as in the stepped engine (crashes before deliveries within a
+// step), even when the victim's shard sat idle until then.  The sharded
+// engine applies crashes lazily - when the node would next act - so this
+// is exactly the order it must get right.  Root -> relay at step 0,
+// relay -> target at step 8 (delivery delay 8 = one window), target dies
+// at step 16, the arrival step.  The kill's protocol reset would scrub a
+// wrong order from RunMetrics, so the check is on the canonical trace:
+// the stepped engine has only a kFail for the target, a wrong order adds
+// deliver/colored/delivered/complete events.  target = 2 keeps the last
+// hop inside shard 0; target = 100 sends it across the shard boundary on
+// 2 shards (64-node blocks).
+TEST(ShardedEngine, CrashBeatsSameStepArrivalAfterQuietStretch) {
+  auto canonical = [](const VectorTrace& t) {
+    std::vector<TraceEvent> events = t.events();
+    obs::canonical_sort(events);
+    return obs::to_jsonl(events);
+  };
+  for (const NodeId target : {2, 100}) {
+    RunConfig base;
+    base.n = 128;
+    base.logp = LogP{.l_over_o = 7, .o_us = 1.0};  // delivery delay = 8 steps
+    base.seed = 1;
+    base.failures.online.push_back({target, 16});
+    QuietRelayNode::Params p;
+    p.relay = 1;
+    p.target = target;
+
+    VectorTrace stepped_trace;
+    RunConfig scfg = base;
+    scfg.trace = &stepped_trace;
+    Engine<QuietRelayNode> stepped(scfg, p);
+    const RunMetrics s = stepped.run();
+    const auto& sev = stepped_trace.events();
+    ASSERT_EQ(std::count_if(sev.begin(), sev.end(),
+                            [&](const TraceEvent& ev) {
+                              return ev.node == target;
+                            }),
+              1);
+    ASSERT_EQ(std::count_if(sev.begin(), sev.end(),
+                            [&](const TraceEvent& ev) {
+                              return ev.node == target && ev.step == 16 &&
+                                     ev.kind == TraceEvent::Kind::kFail;
+                            }),
+              1);
+
+    for (const int shards : {1, 2}) {
+      SCOPED_TRACE("target=" + std::to_string(target) +
+                   " shards=" + std::to_string(shards));
+      VectorTrace sharded_trace;
+      RunConfig hcfg = base;
+      hcfg.trace = &sharded_trace;
+      ShardedEngine<QuietRelayNode> sharded(hcfg, p, shards);
+      const RunMetrics h = sharded.run();
+      EXPECT_EQ(obs::to_json(s), obs::to_json(h));
+      EXPECT_EQ(canonical(stepped_trace), canonical(sharded_trace));
+      // The target was never colored: the crash precedes the arrival.
+      for (const TraceEvent& ev : sharded_trace.events())
+        if (ev.node == target) {
+          EXPECT_EQ(ev.kind, TraceEvent::Kind::kFail);
+        }
+    }
+  }
 }
 
 // --- SoA substrate units ---------------------------------------------------

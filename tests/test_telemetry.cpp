@@ -1,7 +1,7 @@
 // Scale-ready telemetry: LogHistogram bucket math, the per-shard registry's
-// cross-engine determinism (fingerprints byte-identical across the stepped /
-// async / parallel / sharded engines at any shard or thread count, over a
-// 100-seed fault-stack sweep), the deterministic reservoir trace sampler,
+// cross-engine determinism (fingerprints byte-identical across the stepped
+// and sharded engines at any shard count, over a 100-seed fault-stack
+// sweep), the deterministic reservoir trace sampler,
 // the flight recorder's ring + dump/parse round-trip and its campaign
 // integration (a forced guarantee failure produces an artifact that is the
 // exact suffix of the stepped replay), the heartbeat channel, the streaming
@@ -9,7 +9,7 @@
 // contract with telemetry attached.
 //
 // Carries the ctest label `sanitize`: the tsan preset exercises the
-// parallel/sharded recording paths under ThreadSanitizer (the allocation
+// multi-shard recording paths under ThreadSanitizer (the allocation
 // guard compiles out there, as in test_trial_farm.cpp).
 #include <gtest/gtest.h>
 
@@ -244,9 +244,10 @@ EngineRun run_with_telemetry(const RunConfig& base, const ExecConfig& exec) {
 
 TEST(TelemetryDeterminism, HundredSeedSweepAcrossEnginesShardsThreads) {
   const ExecConfig variants[] = {
-      {EngineKind::kAsync, 1},    {EngineKind::kParallel, 1},
-      {EngineKind::kParallel, 8}, {EngineKind::kSharded, 1},
-      {EngineKind::kSharded, 2},  {EngineKind::kSharded, 8},
+      {EngineKind::kSharded, 1},
+      {EngineKind::kSharded, 2},
+      {EngineKind::kSharded, 3},
+      {EngineKind::kSharded, 8},
   };
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     const RunConfig cfg = sweep_cfg(seed);
