@@ -23,8 +23,8 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = flags.get_node_count("n", 512);
-  const int trials = static_cast<int>(flags.get_int("trials", 400));
+  const auto n = flags.get_count("n", 512);
+  const int trials = flags.get_count("trials", 400);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const LogP logp = LogP::piz_daint();
   const double eps = 1e-4;

@@ -65,7 +65,7 @@ inline ExecConfig exec_flag(const Flags& flags) {
                  engine_names_list());
     std::exit(2);
   }
-  exec.threads = static_cast<int>(flags.get_int("shards", 1));
+  exec.threads = flags.get_count("shards", 1);
   return exec;
 }
 

@@ -17,8 +17,8 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto max_n = flags.get_node_count("max-n", 4096);
-  const int trials = static_cast<int>(flags.get_int("trials", 150));
+  const auto max_n = flags.get_count("max-n", 4096);
+  const int trials = flags.get_count("trials", 150);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const LogP logp = LogP::piz_daint();
   const double eps = 1e-4;

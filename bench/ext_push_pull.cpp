@@ -21,8 +21,8 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = flags.get_node_count("n", 1024);
-  const int trials = static_cast<int>(flags.get_int("trials", 300));
+  const auto n = flags.get_count("n", 1024);
+  const int trials = flags.get_count("trials", 300);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const LogP logp = LogP::unit();
 

@@ -18,8 +18,8 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = flags.get_node_count("n", 1024);
-  const int trials = static_cast<int>(flags.get_int("trials", 1500));
+  const auto n = flags.get_count("n", 1024);
+  const int trials = flags.get_count("trials", 1500);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const Step tmin = flags.get_int("tmin", 18);
   const Step tmax = flags.get_int("tmax", 36);

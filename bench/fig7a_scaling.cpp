@@ -17,8 +17,8 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto max_n = flags.get_node_count("max-n", 16384);
-  const int base_trials = static_cast<int>(flags.get_int("trials", 200));
+  const auto max_n = flags.get_count("max-n", 16384);
+  const int base_trials = flags.get_count("trials", 200);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const double eps = flags.get_double("eps", paper_eps());
   const ExecConfig exec = bench::exec_flag(flags);

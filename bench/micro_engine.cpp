@@ -163,6 +163,7 @@ BENCHMARK(BM_EngineSharded)
     ->Args({65536, 1})
     ->Args({65536, 8})
     ->Args({1048576, 1})
+    ->Args({1048576, 8})
     ->Unit(benchmark::kMillisecond);
 
 // Telemetry overhead probe: BM_EngineSharded with a Telemetry registry

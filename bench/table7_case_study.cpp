@@ -42,8 +42,8 @@ cg::Table make_table() {
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = flags.get_node_count("n", 4096);
-  const int trials = static_cast<int>(flags.get_int("trials", 200));
+  const auto n = flags.get_count("n", 4096);
+  const int trials = flags.get_count("trials", 200);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const double eps = flags.get_double("eps", paper_eps());
   const LogP logp = LogP::piz_daint();

@@ -22,7 +22,7 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = flags.get_node_count("n", 256);
+  const auto n = flags.get_count("n", 256);
   const std::int64_t tol = flags.get_int("tol", 1000);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
   const LogP logp = LogP::piz_daint();

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const auto n = flags.get_node_count("n", 1024);
+  const auto n = flags.get_count("n", 1024);
   const LogP logp{.l_over_o = flags.get_int("l", 2) / flags.get_int("o", 1),
                   .o_us = static_cast<double>(flags.get_int("o", 1))};
   const double eps = flags.get_double("eps", 6.9315e-7);
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
   spec.n = n;
   spec.logp = logp;
   spec.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  spec.trials = static_cast<int>(flags.get_int("trials", 1000));
+  spec.trials = flags.get_count("trials", 1000);
   spec.threads = static_cast<int>(flags.get_int("threads", 0));
   spec.jitter_max = flags.get_int("jitter", 0);
   spec.drop_prob = flags.get_double("drop-prob", flags.get_double("drop", 0.0));
@@ -141,8 +141,12 @@ int main(int argc, char** argv) {
   }
   spec.pre_failures = pre;
   spec.online_failures = online;
-  spec.rx = flags.get_string("rx", "drain") == "one" ? RxPolicy::kOnePerStep
-                                                     : RxPolicy::kDrainAll;
+  const std::string rx_s = flags.get_string("rx", "drain");
+  if (rx_s != "drain" && rx_s != "one") {
+    std::fprintf(stderr, "unknown --rx=%s (drain, one)\n", rx_s.c_str());
+    return 2;
+  }
+  spec.rx = rx_s == "one" ? RxPolicy::kOnePerStep : RxPolicy::kDrainAll;
 
   const std::string engine_s = flags.get_string("engine", "stepped");
   if (!engine_from_name(engine_s, spec.exec.engine)) {
@@ -150,7 +154,7 @@ int main(int argc, char** argv) {
                  engine_names_list());
     return 2;
   }
-  spec.exec.threads = static_cast<int>(flags.get_int("shards", 1));
+  spec.exec.threads = flags.get_count("shards", 1);
 
   // Parameters: explicit flags override the model-tuned defaults.
   const TunedAlgo tuned = tune_for(algo, n, n - pre, logp, eps, f);

@@ -31,8 +31,8 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = flags.get_node_count("n", 512);
-  const int trials = static_cast<int>(flags.get_int("trials", 300));
+  const auto n = flags.get_count("n", 512);
+  const int trials = flags.get_count("trials", 300);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const double drop_prob = flags.get_double("drop-prob", 0.0);
   const double burst_loss = flags.get_double("burst-loss", 0.0);
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
                  engine_names_list());
     return 2;
   }
-  exec.threads = static_cast<int>(flags.get_int("shards", 1));
+  exec.threads = flags.get_count("shards", 1);
   const LogP logp = LogP::piz_daint();
   const double eps = 1e-4;
   std::unique_ptr<Heartbeat> heartbeat;

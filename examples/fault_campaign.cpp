@@ -121,10 +121,10 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
 
   CampaignConfig cfg;
-  cfg.n = flags.get_node_count("n", 128);
+  cfg.n = flags.get_count("n", 128);
   cfg.logp = LogP::piz_daint();
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 21));
-  cfg.trials = static_cast<int>(flags.get_int("trials", 100));
+  cfg.trials = flags.get_count("trials", 100);
   cfg.threads = static_cast<int>(flags.get_int("threads", 0));
 
   int byz_count = static_cast<int>(flags.get_int("byz", 0));

@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = flags.get_node_count("n", 256);
+  const auto n = flags.get_count("n", 256);
   const int rounds = static_cast<int>(flags.get_int("rounds", 6));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
   const LogP logp = LogP::piz_daint();

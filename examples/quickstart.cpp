@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   const cg::Flags flags(argc, argv);
-  const auto n = flags.get_node_count("n", 1024);
+  const auto n = flags.get_count("n", 1024);
   const int threads = static_cast<int>(flags.get_int("threads", 0));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 

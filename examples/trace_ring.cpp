@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
   const std::string algo_s = flags.get_string("algo", "ccg");
-  const auto n = flags.get_node_count("n", 10);
+  const auto n = flags.get_count("n", 10);
   const Step T = flags.get_int("t", algo_s == "ocg" ? 2 : 4);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
 

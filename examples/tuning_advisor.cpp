@@ -20,8 +20,8 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = flags.get_node_count("n", 4096);
-  const auto active = flags.get_node_count("active", n);
+  const auto n = flags.get_count("n", 4096);
+  const auto active = flags.get_count("active", n);
   const LogP logp{.l_over_o = flags.get_int("l", 2) / flags.get_int("o", 1),
                   .o_us = static_cast<double>(flags.get_int("o", 1))};
   const double runs = flags.get_double("runs", 1e6);

@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "common/check.hpp"
-
 namespace cg {
 
 Flags::Flags(int argc, char** argv) {
@@ -32,38 +30,55 @@ std::string Flags::get_string(const std::string& name, std::string def) const {
   return it == kv_.end() ? def : it->second;
 }
 
+namespace {
+
+/// Usage error: name the flag, its value and what was expected; exit 2.
+[[noreturn]] void reject(const std::string& name, const std::string& value,
+                         const char* expected) {
+  std::fprintf(stderr, "--%s=%s: expected %s\n", name.c_str(), value.c_str(),
+               expected);
+  std::exit(2);
+}
+
+/// Parse a whole value as a base-10 integer; false on an empty value,
+/// trailing characters or overflow.
+bool parse_int(const std::string& s, long long& v) {
+  char* end = nullptr;
+  errno = 0;
+  v = std::strtoll(s.c_str(), &end, 10);
+  return end != s.c_str() && *end == '\0' && errno != ERANGE;
+}
+
+}  // namespace
+
 std::int64_t Flags::get_int(const std::string& name, std::int64_t def) const {
   const auto it = kv_.find(name);
   if (it == kv_.end()) return def;
-  char* end = nullptr;
-  const std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  CG_CHECK_MSG(end && *end == '\0', "integer flag parse error");
+  long long v = 0;
+  if (!parse_int(it->second, v)) reject(name, it->second, "an integer");
   return v;
 }
 
 double Flags::get_double(const std::string& name, double def) const {
   const auto it = kv_.find(name);
   if (it == kv_.end()) return def;
+  const std::string& s = it->second;
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  CG_CHECK_MSG(end && *end == '\0', "double flag parse error");
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE)
+    reject(name, s, "a number");
   return v;
 }
 
-NodeId Flags::get_node_count(const std::string& name, NodeId def) const {
+int Flags::get_count(const std::string& name, int def) const {
   const auto it = kv_.find(name);
   if (it == kv_.end()) return def;
-  constexpr long long kMax = std::numeric_limits<NodeId>::max();
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0' || errno == ERANGE || v < 1 ||
-      v > kMax) {
-    std::fprintf(stderr, "--%s=%s: expected an integer in [1, %lld]\n",
-                 name.c_str(), it->second.c_str(), kMax);
-    std::exit(2);
-  }
-  return static_cast<NodeId>(v);
+  constexpr long long kMax = std::numeric_limits<int>::max();
+  long long v = 0;
+  if (!parse_int(it->second, v) || v < 1 || v > kMax)
+    reject(name, it->second, "an integer in [1, 2147483647]");
+  return static_cast<int>(v);
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {

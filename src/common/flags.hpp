@@ -21,15 +21,20 @@ class Flags {
   bool has(const std::string& name) const { return kv_.count(name) != 0; }
 
   std::string get_string(const std::string& name, std::string def) const;
-  std::int64_t get_int(const std::string& name, std::int64_t def) const;
-  double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
 
-  /// A node count (--n, --max-n, ...): an integer in [1, 2147483647], the
-  /// positive NodeId range.  Any other value prints an error naming the
-  /// flag and the range and exits with status 2, instead of narrowing
-  /// silently or tripping a CG_CHECK deep in the run.
-  NodeId get_node_count(const std::string& name, NodeId def) const;
+  // The numeric readers reject a value they cannot parse whole - empty,
+  // trailing characters, out of range for the type - by printing
+  // "--<flag>=<value>: expected ..." and exiting with status 2, the
+  // drivers' usage-error status.
+  std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  double get_double(const std::string& name, double def) const;
+
+  /// A count (--n, --max-n, --trials, --shards, ...): an integer in
+  /// [1, 2147483647], the positive NodeId/int range.  Any other value
+  /// exits 2 naming the flag and the range, instead of narrowing silently
+  /// or tripping a CG_CHECK deep in the run.
+  int get_count(const std::string& name, int def) const;
 
   /// Positional (non --flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -3,17 +3,8 @@
 #include <optional>
 #include <string>
 
-#include "baselines/bfb.hpp"
-#include "baselines/big.hpp"
-#include "baselines/opt_tree.hpp"
 #include "common/check.hpp"
-#include "gossip/ccg.hpp"
-#include "gossip/fcg.hpp"
-#include "gossip/gos.hpp"
-#include "gossip/ocg.hpp"
-#include "gossip/ocg_chain.hpp"
-#include "gossip/sbrb.hpp"
-#include "sim/sharded_engine.hpp"
+#include "harness/algo_dispatch.hpp"
 #include "sim/fault/validate.hpp"
 
 namespace cg {
@@ -55,90 +46,13 @@ const char* engine_names_list() { return "stepped, sharded"; }
 
 namespace {
 
-// Build Node::Params for `algo` and hand <Node, params> to the runner
-// functor (the one place the algo -> node-type mapping lives; shared by
-// run_once and EngineCache).
-template <class Runner>
-RunMetrics dispatch_algo(Runner&& r, Algo algo, const AlgoConfig& acfg,
-                         const RunConfig& rcfg) {
-  switch (algo) {
-    case Algo::kGos:
-      return r.template run<GosNode>(GosNode::Params{acfg.T});
-    case Algo::kOcg: {
-      CG_CHECK_MSG(acfg.ocg_corr_sends > 0, "OCG needs ocg_corr_sends");
-      OcgNode::Params params;
-      params.T = acfg.T;
-      params.corr_sends = acfg.ocg_corr_sends;
-      params.drain_extra = acfg.drain_extra;
-      return r.template run<OcgNode>(params);
-    }
-    case Algo::kCcg: {
-      CcgNode::Params params;
-      params.T = acfg.T;
-      params.drain_extra = acfg.drain_extra;
-      params.reliable = acfg.reliable;
-      return r.template run<CcgNode>(params);
-    }
-    case Algo::kFcg: {
-      FcgNode::Params params;
-      params.T = acfg.T;
-      params.f = acfg.fcg_f;
-      params.drain_extra = acfg.drain_extra;
-      params.sos_timeout = acfg.fcg_sos_timeout;
-      params.sos_enabled = acfg.fcg_sos_enabled;
-      params.reliable = acfg.reliable;
-      return r.template run<FcgNode>(params);
-    }
-    case Algo::kOcgChain: {
-      CG_CHECK_MSG(acfg.ocg_corr_sends > 0, "OCG-CHAIN needs a K_bar");
-      OcgChainNode::Params params;
-      params.T = acfg.T;
-      params.horizon = OcgChainNode::chain_horizon(
-          acfg.T, static_cast<int>(acfg.ocg_corr_sends), rcfg.logp);
-      return r.template run<OcgChainNode>(params);
-    }
-    case Algo::kBig:
-      return r.template run<BigNode>(BigNode::Params{});
-    case Algo::kBfb: {
-      BfbNode::Params params;
-      params.shared = BfbShared::make(rcfg.n, rcfg.root, rcfg.failures);
-      params.quiet_period = 16 * rcfg.logp.delivery_delay() + 32;
-      return r.template run<BfbNode>(params);
-    }
-    case Algo::kOpt: {
-      OptNode::Params params;
-      params.schedule = OptSchedule::build(rcfg.n, rcfg.logp);
-      return r.template run<OptNode>(params);
-    }
-    case Algo::kSbrb: {
-      SbrbNode::Params params;
-      params.s = sbrb_samples(rcfg.n, acfg.sbrb_eps, acfg.sbrb_byz_frac);
-      params.deadline = sbrb_deadline(params.s, rcfg.logp);
-      return r.template run<SbrbNode>(params);
-    }
-  }
-  CG_CHECK_MSG(false, "unknown algorithm");
-  return {};
-}
-
-struct FreshEngineRunner {
+struct SteppedRunner {
   const RunConfig& rcfg;
-  const ExecConfig& exec;
 
   template <class Node>
   RunMetrics run(typename Node::Params params) const {
-    switch (exec.engine) {
-      case EngineKind::kStepped: {
-        Engine<Node> eng(rcfg, std::move(params));
-        return eng.run();
-      }
-      case EngineKind::kSharded: {
-        ShardedEngine<Node> eng(rcfg, std::move(params), exec.threads);
-        return eng.run();
-      }
-    }
-    CG_CHECK_MSG(false, "unknown engine");
-    return {};
+    Engine<Node> eng(rcfg, std::move(params));
+    return eng.run();
   }
 };
 
@@ -152,7 +66,14 @@ void check_config(const RunConfig& rcfg) {
 RunMetrics run_once(Algo algo, const AlgoConfig& acfg, const RunConfig& rcfg,
                     const ExecConfig& exec) {
   check_config(rcfg);
-  return dispatch_algo(FreshEngineRunner{rcfg, exec}, algo, acfg, rcfg);
+  switch (exec.engine) {
+    case EngineKind::kStepped:
+      return detail::dispatch_algo(SteppedRunner{rcfg}, algo, acfg, rcfg);
+    case EngineKind::kSharded:
+      return detail::run_once_sharded(algo, acfg, rcfg, exec.threads);
+  }
+  CG_CHECK_MSG(false, "unknown engine");
+  return {};
 }
 
 RunMetrics run_once(Algo algo, const AlgoConfig& acfg, const RunConfig& rcfg) {
@@ -201,7 +122,8 @@ EngineCache& EngineCache::operator=(EngineCache&&) noexcept = default;
 RunMetrics EngineCache::run_once(Algo algo, const AlgoConfig& acfg,
                                  const RunConfig& rcfg) {
   check_config(rcfg);
-  return dispatch_algo(CachedEngineRunner{slot_, rcfg}, algo, acfg, rcfg);
+  return detail::dispatch_algo(CachedEngineRunner{slot_, rcfg}, algo, acfg,
+                               rcfg);
 }
 
 }  // namespace cg

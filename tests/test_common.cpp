@@ -297,5 +297,30 @@ TEST(Flags, ParsesForms) {
   EXPECT_FALSE(f.has("m"));
 }
 
+// Malformed numeric values are usage errors (exit 2 with the flag named),
+// never a CG_CHECK abort or a silent 0 / saturated value.
+TEST(Flags, MalformedNumbersExitTwo) {
+  const char* argv[] = {"prog",     "--i=12x",  "--e=",
+                        "--big=99999999999999999999",
+                        "--d=1.5.2", "--h=1e999", "--c=0",
+                        "--w=4294967297",         "--neg=-3",
+                        "--ok=17"};
+  Flags f(10, const_cast<char**>(argv));
+  const auto exit2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(f.get_int("i", 0), exit2, "--i=12x: expected an integer");
+  EXPECT_EXIT(f.get_int("e", 0), exit2, "--e=: expected an integer");
+  EXPECT_EXIT(f.get_int("big", 0), exit2, "expected an integer");
+  EXPECT_EXIT(f.get_double("d", 0), exit2, "--d=1.5.2: expected a number");
+  EXPECT_EXIT(f.get_double("e", 0), exit2, "expected a number");
+  EXPECT_EXIT(f.get_double("h", 0), exit2, "expected a number");
+  EXPECT_EXIT(f.get_count("c", 1), exit2, "expected an integer in \\[1, ");
+  EXPECT_EXIT(f.get_count("w", 1), exit2, "expected an integer in");
+  EXPECT_EXIT(f.get_count("neg", 1), exit2, "expected an integer in");
+  EXPECT_EXIT(f.get_count("i", 1), exit2, "expected an integer in");
+  EXPECT_EQ(f.get_count("ok", 1), 17);
+  EXPECT_EQ(f.get_count("missing", 5), 5);
+  EXPECT_EQ(f.get_int("neg", 0), -3);
+}
+
 }  // namespace
 }  // namespace cg

@@ -89,7 +89,7 @@ AlgoConfig algo_cfg(Algo algo) {
   AlgoConfig acfg;
   acfg.T = 30;
   acfg.drain_extra = 2;
-  if (algo == Algo::kOcg) acfg.ocg_corr_sends = 12;
+  if (algo == Algo::kOcg || algo == Algo::kOcgChain) acfg.ocg_corr_sends = 12;
   if (algo == Algo::kFcg) acfg.fcg_f = 2;
   return acfg;
 }
@@ -113,10 +113,14 @@ TEST_P(EnginesAgree, OnHarshNetwork) {
   }
 }
 
+// BFB and opt put known ids on the wire (the records' out-of-line side
+// arrays on the sharded engine); OCG-CHAIN's chained correction is the
+// remaining corrected-gossip variant.
 INSTANTIATE_TEST_SUITE_P(
     Matrix, EnginesAgree,
     ::testing::Combine(
-        ::testing::Values(Algo::kGos, Algo::kOcg, Algo::kCcg, Algo::kFcg),
+        ::testing::Values(Algo::kGos, Algo::kOcg, Algo::kCcg, Algo::kFcg,
+                          Algo::kOcgChain, Algo::kBfb, Algo::kOpt),
         ::testing::Values<std::uint64_t>(1, 7, 13),
         ::testing::Values(RxPolicy::kDrainAll, RxPolicy::kOnePerStep)));
 
