@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       const TrialAggregate agg = run_trials(spec);
       table.add_row(
           {Table::cell("%lld", static_cast<long long>(jitter)), algo_name(a),
-           Table::cell("%.1f", logp.us(1) * reported_latency_steps(a, agg)),
+           Table::cell_or_na("%.1f", reported_latency_us(a, agg, logp)),
            Table::cell("%lld/%lld",
                        static_cast<long long>(agg.all_colored_trials),
                        static_cast<long long>(agg.trials)),

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
       table.add_row(
           {algo_name(a),
            rx == RxPolicy::kDrainAll ? "drain-all" : "one-per-step",
-           Table::cell("%.1f", logp.us(1) * reported_latency_steps(a, agg)),
+           Table::cell_or_na("%.1f", reported_latency_us(a, agg, logp)),
            Table::cell("%.0f", agg.work.mean()),
            Table::cell("%lld/%lld",
                        static_cast<long long>(agg.all_colored_trials),

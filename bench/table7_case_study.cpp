@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
       table.add_row(
           {algo_name(sims[a]), Table::cell("%d", f_hat),
            Table::cell("%lld", static_cast<long long>(r.tuned.acfg.T)),
-           Table::cell("%.0f", r.lat_us), Table::cell("%.0f", r.work),
+           Table::cell_or_na("%.0f", r.lat_us), Table::cell("%.0f", r.work),
            Table::cell("%.0f", r.agg.work_correction.mean()),
            Table::cell("%.2g%%", r.incon * 100.0),
            is_paper_n ? p.lat : "-", is_paper_n ? p.work : "-",

@@ -52,6 +52,7 @@
 //                         drift vs the analytic c(t)
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -66,6 +67,7 @@
 #include "obs/report.hpp"
 #include "obs/series.hpp"
 #include "obs/trace_sinks.hpp"
+#include "proto/message.hpp"
 
 namespace {
 
@@ -107,12 +109,16 @@ int main(int argc, char** argv) {
   }
 
   const auto n = flags.get_count("n", 1024);
-  const LogP logp{.l_over_o = flags.get_int("l", 2) / flags.get_int("o", 1),
-                  .o_us = static_cast<double>(flags.get_int("o", 1))};
+  const LogP logp = logp_from_flags(flags);
   const double eps = flags.get_double("eps", 6.9315e-7);
-  const int f = static_cast<int>(flags.get_int("f", 1));
-  const int pre = static_cast<int>(flags.get_int("pre-fail", 0));
-  const int online = static_cast<int>(flags.get_int("online-fail", 0));
+  flags.require(eps > 0.0 && eps < 1.0, "eps", "a number in (0, 1)");
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const int f = static_cast<int>(flags.get_int_in("f", 1, 1, kMaxKnownF));
+  // Counts of distinct non-root nodes must leave the root out: the fault
+  // samplers (sim/failure.cpp, sim/fault/) CG_CHECK these bounds.
+  const int pre = static_cast<int>(flags.get_int_in("pre-fail", 0, 0, n - 1));
+  const int online =
+      static_cast<int>(flags.get_int_in("online-fail", 0, 0, n - 1 - pre));
 
   TrialSpec spec;
   spec.algo = algo;
@@ -124,13 +130,17 @@ int main(int argc, char** argv) {
   spec.jitter_max = flags.get_int("jitter", 0);
   spec.drop_prob = flags.get_double("drop-prob", flags.get_double("drop", 0.0));
   spec.burst_loss = flags.get_double("burst-loss", 0.0);
-  spec.burst_mean = flags.get_int("burst-mean", 4);
-  spec.restarts = static_cast<int>(flags.get_int("restart", 0));
-  spec.restart_outage = flags.get_int("restart-outage", 0);
-  spec.stragglers = static_cast<int>(flags.get_int("stragglers", 0));
-  spec.straggler_factor = flags.get_int("straggler-factor", 4);
-  spec.partition_nodes = static_cast<int>(flags.get_int("partition", 0));
-  spec.byz_count = static_cast<int>(flags.get_int("byz", 0));
+  flags.require(spec.burst_loss >= 0.0 && spec.burst_loss < 1.0, "burst-loss",
+                "a number in [0, 1)");
+  spec.burst_mean = flags.get_int_in("burst-mean", 4, 1, kMax);
+  spec.restarts = static_cast<int>(
+      flags.get_int_in("restart", 0, 0, n - 1 - pre - online));
+  spec.restart_outage = flags.get_int_in("restart-outage", 0, 0, kMax);
+  spec.stragglers = static_cast<int>(flags.get_int_in("stragglers", 0, 0, n - 1));
+  spec.straggler_factor = flags.get_int_in("straggler-factor", 4, 1, kMax);
+  spec.partition_nodes =
+      static_cast<int>(flags.get_int_in("partition", 0, 0, n - 1));
+  spec.byz_count = static_cast<int>(flags.get_int_in("byz", 0, 0, n - 1));
   spec.byz_include_root = flags.get_bool("byz-root", false);
   if (spec.byz_include_root && spec.byz_count == 0) spec.byz_count = 1;
   const std::string byz_mode_s = flags.get_string("byz-mode", "equivocator");
@@ -159,11 +169,11 @@ int main(int argc, char** argv) {
   // Parameters: explicit flags override the model-tuned defaults.
   const TunedAlgo tuned = tune_for(algo, n, n - pre, logp, eps, f);
   spec.acfg = tuned.acfg;
-  if (flags.has("t")) spec.acfg.T = flags.get_int("t", spec.acfg.T);
-  if (flags.has("corr"))
-    spec.acfg.ocg_corr_sends = flags.get_int("corr", spec.acfg.ocg_corr_sends);
+  spec.acfg.T = flags.get_int_in("t", spec.acfg.T, 0, kMax);
+  spec.acfg.ocg_corr_sends =
+      flags.get_int_in("corr", spec.acfg.ocg_corr_sends, 0, kMax);
   spec.acfg.fcg_f = f;
-  spec.acfg.drain_extra = flags.get_int("drain-extra", 0);
+  spec.acfg.drain_extra = flags.get_int_in("drain-extra", 0, 0, kMax);
   spec.acfg.reliable.enabled = flags.get_bool("reliable", false);
 
   // Surface configuration problems as a friendly error instead of the
@@ -281,8 +291,8 @@ int main(int argc, char** argv) {
   }
 
   Table table({"metric", "value"});
-  const double lat = reported_latency_steps(algo, agg);
-  table.add_row({"latency (mean, us)", Table::cell("%.2f", logp.us(1) * lat)});
+  table.add_row({"latency (mean, us)",
+                 Table::cell_or_na("%.2f", reported_latency_us(algo, agg, logp))});
   if (!agg.t_complete.empty()) {
     table.add_row({"latency p50 (us)",
                    Table::cell("%.2f", logp.us(1) * agg.t_complete.p50())});

@@ -18,6 +18,7 @@
 // consistency under equivocation, while SBRB's sampled echo/ready quorums
 // hold it (docs/FAULTS.md, Byzantine tier).
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,13 +35,29 @@ int main(int argc, char** argv) {
   const auto n = flags.get_count("n", 512);
   const int trials = flags.get_count("trials", 300);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  // Every cell crashes up to kMaxCrashes non-root nodes; restarts need
+  // further distinct ones (sim/failure.cpp CG_CHECKs both bounds).
+  constexpr int kMaxCrashes = 3;
+  if (n <= kMaxCrashes) {
+    std::fprintf(stderr, "--n=%d: expected an integer >= %d (the drill "
+                 "crashes up to %d nodes besides the root)\n",
+                 n, kMaxCrashes + 1, kMaxCrashes);
+    return 2;
+  }
   const double drop_prob = flags.get_double("drop-prob", 0.0);
+  flags.require(drop_prob >= 0.0 && drop_prob <= 1.0, "drop-prob",
+                "a number in [0, 1]");
   const double burst_loss = flags.get_double("burst-loss", 0.0);
-  const Step burst_mean = flags.get_int("burst-mean", 4);
-  const int restarts = static_cast<int>(flags.get_int("restart", 0));
-  const int stragglers = static_cast<int>(flags.get_int("stragglers", 0));
+  flags.require(burst_loss >= 0.0 && burst_loss < 1.0, "burst-loss",
+                "a number in [0, 1)");
+  const Step burst_mean = flags.get_int_in(
+      "burst-mean", 4, 1, std::numeric_limits<std::int64_t>::max());
+  const int restarts = static_cast<int>(
+      flags.get_int_in("restart", 0, 0, n - 1 - kMaxCrashes));
+  const int stragglers =
+      static_cast<int>(flags.get_int_in("stragglers", 0, 0, n - 1));
   const bool reliable = flags.get_bool("reliable", false);
-  int byz_count = static_cast<int>(flags.get_int("byz", 0));
+  int byz_count = static_cast<int>(flags.get_int_in("byz", 0, 0, n - 1));
   const bool byz_root = flags.get_bool("byz-root", false);
   if (byz_root && byz_count == 0) byz_count = 1;
   ByzMode byz_mode = ByzMode::kEquivocator;
@@ -83,7 +100,7 @@ int main(int argc, char** argv) {
                "consistent", "SOS runs", "retrans", "truncated",
                "mean lat[us]"});
   for (const Algo a : algos) {
-    for (const int crashes : {0, 1, 3}) {
+    for (const int crashes : {0, 1, kMaxCrashes}) {
       const TunedAlgo tuned = tune_for(a, n, n, logp, eps, /*f=*/1);
       TrialSpec spec;
       spec.threads = static_cast<int>(flags.get_int("threads", 0));
@@ -129,8 +146,7 @@ int main(int argc, char** argv) {
            Table::cell("%.1f", agg.work_retrans.mean()),
            Table::cell("%lld",
                        static_cast<long long>(agg.hit_max_steps_trials)),
-           Table::cell("%.1f",
-                       logp.us(1) * reported_latency_steps(a, agg))});
+           Table::cell_or_na("%.1f", reported_latency_us(a, agg, logp))});
     }
   }
   table.print();

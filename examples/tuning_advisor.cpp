@@ -15,18 +15,21 @@
 #include "baselines/opt_tree.hpp"
 #include "common/flags.hpp"
 #include "common/table.hpp"
+#include "harness/scenarios.hpp"
+#include "proto/message.hpp"
 #include "sim/failure.hpp"
 
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
   const auto n = flags.get_count("n", 4096);
-  const auto active = flags.get_count("active", n);
-  const LogP logp{.l_over_o = flags.get_int("l", 2) / flags.get_int("o", 1),
-                  .o_us = static_cast<double>(flags.get_int("o", 1))};
+  const auto active = static_cast<NodeId>(flags.get_int_in("active", n, 1, n));
+  const LogP logp = logp_from_flags(flags);
   const double runs = flags.get_double("runs", 1e6);
+  flags.require(runs >= 1.0, "runs", "a number >= 1");
   const double psi = flags.get_double("psi", 0.5);
-  const int f = static_cast<int>(flags.get_int("f", 1));
+  flags.require(psi > 0.0 && psi < 1.0, "psi", "a number in (0, 1)");
+  const int f = static_cast<int>(flags.get_int_in("f", 1, 1, kMaxKnownF));
   const double eps = eps_for_runs(psi, runs);
 
   std::printf("corrected-gossip tuning advisor\n");

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <string>
 
 namespace cg {
 
@@ -34,9 +35,9 @@ namespace {
 
 /// Usage error: name the flag, its value and what was expected; exit 2.
 [[noreturn]] void reject(const std::string& name, const std::string& value,
-                         const char* expected) {
+                         const std::string& expected) {
   std::fprintf(stderr, "--%s=%s: expected %s\n", name.c_str(), value.c_str(),
-               expected);
+               expected.c_str());
   std::exit(2);
 }
 
@@ -72,13 +73,27 @@ double Flags::get_double(const std::string& name, double def) const {
 }
 
 int Flags::get_count(const std::string& name, int def) const {
+  return static_cast<int>(
+      get_int_in(name, def, 1, std::numeric_limits<int>::max()));
+}
+
+std::int64_t Flags::get_int_in(const std::string& name, std::int64_t def,
+                               std::int64_t lo, std::int64_t hi) const {
   const auto it = kv_.find(name);
   if (it == kv_.end()) return def;
-  constexpr long long kMax = std::numeric_limits<int>::max();
   long long v = 0;
-  if (!parse_int(it->second, v) || v < 1 || v > kMax)
-    reject(name, it->second, "an integer in [1, 2147483647]");
-  return static_cast<int>(v);
+  if (!parse_int(it->second, v) || v < lo || v > hi)
+    reject(name, it->second,
+           hi == std::numeric_limits<std::int64_t>::max()
+               ? "an integer >= " + std::to_string(lo)
+               : "an integer in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
+  return v;
+}
+
+void Flags::require(bool ok, const std::string& name,
+                    const std::string& expected) const {
+  if (!ok) reject(name, get_string(name, ""), expected);
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {

@@ -36,6 +36,17 @@ class Flags {
   /// or tripping a CG_CHECK deep in the run.
   int get_count(const std::string& name, int def) const;
 
+  /// An integer in [lo, hi]; any other value exits 2 naming the flag and
+  /// the range (hi = INT64_MAX reads as "an integer >= lo").
+  std::int64_t get_int_in(const std::string& name, std::int64_t def,
+                          std::int64_t lo, std::int64_t hi) const;
+
+  /// Unless `ok`, print "--<name>=<value>: expected <expected>" and exit
+  /// 2: for checks the readers cannot make alone (an open interval, a
+  /// bound set by another flag).  Call it only for a flag that was given.
+  void require(bool ok, const std::string& name,
+               const std::string& expected) const;
+
   /// Positional (non --flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,12 @@ class Table {
 
   /// Convenience: printf-style cell formatting.
   static std::string cell(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+  /// `v` formatted with `fmt` (one double conversion), or "n/a" when
+  /// there is no value.
+  static std::string cell_or_na(const char* fmt, std::optional<double> v) {
+    return v ? cell(fmt, *v) : std::string("n/a");
+  }
 
   /// Render to a string (ends with newline).
   std::string str() const;

@@ -1,5 +1,8 @@
 #include "harness/scenarios.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "analysis/baseline_models.hpp"
 #include "analysis/coloring.hpp"
 #include "analysis/fcg_bound.hpp"
@@ -12,6 +15,23 @@
 namespace cg {
 
 double paper_eps() { return eps_for_runs(0.5, 1e6); }
+
+LogP logp_from_flags(const Flags& flags) {
+  const std::int64_t o = flags.get_int("o", 1);
+  flags.require(o >= 1, "o", "an integer >= 1 (O in microseconds)");
+  const std::int64_t l = flags.get_int("l", 2);
+  flags.require(l >= 0, "l", "an integer >= 0 (L in microseconds)");
+  if (l % o != 0) {
+    std::fprintf(stderr,
+                 "--l=%lld --o=%lld: expected L to be a multiple of O (the "
+                 "model counts L/O whole steps)\n",
+                 static_cast<long long>(l), static_cast<long long>(o));
+    std::exit(2);
+  }
+  const LogP logp{.l_over_o = l / o, .o_us = static_cast<double>(o)};
+  logp.validate();  // holds by the checks above
+  return logp;
+}
 
 TunedAlgo tune_for(Algo algo, NodeId N, NodeId n_active, const LogP& logp,
                    double eps, int f) {
@@ -86,23 +106,39 @@ TunedAlgo tune_for(Algo algo, NodeId N, NodeId n_active, const LogP& logp,
   return out;
 }
 
-double reported_latency_steps(Algo algo, const TrialAggregate& agg) {
+namespace {
+
+/// The per-trial sample reported_latency_us averages.
+const Samples& reported_latency_sample(Algo algo, const TrialAggregate& agg) {
   switch (algo) {
     case Algo::kGos:
     case Algo::kOcg:
     case Algo::kCcg:
     case Algo::kFcg:
     case Algo::kOcgChain:
-      return agg.t_complete.empty() ? 0.0 : agg.t_complete.mean();
+      return agg.t_complete;
     case Algo::kSbrb:  // delivery, not the (fixed-deadline) completion
-      return agg.t_last_colored.empty() ? 0.0 : agg.t_last_colored.mean();
     case Algo::kBig:
     case Algo::kOpt:
-      return agg.t_last_colored.empty() ? 0.0 : agg.t_last_colored.mean();
+      return agg.t_last_colored;
     case Algo::kBfb:
-      return agg.t_root_complete.empty() ? 0.0 : agg.t_root_complete.mean();
+      return agg.t_root_complete;
   }
-  return 0.0;
+  return agg.t_complete;
+}
+
+}  // namespace
+
+std::optional<double> reported_latency_us(Algo algo, const TrialAggregate& agg,
+                                          const LogP& logp) {
+  const Samples& s = reported_latency_sample(algo, agg);
+  if (s.empty()) return std::nullopt;
+  return logp.us(1) * s.mean();
+}
+
+double reported_latency_steps(Algo algo, const TrialAggregate& agg) {
+  const Samples& s = reported_latency_sample(algo, agg);
+  return s.empty() ? 0.0 : s.mean();
 }
 
 ScenarioResult run_scenario(Algo algo, NodeId N, int pre_failures,
@@ -125,7 +161,7 @@ ScenarioResult run_scenario(Algo algo, NodeId N, int pre_failures,
   spec.pre_failures = pre_failures;
   res.agg = run_trials(spec);
 
-  res.lat_us = logp.us(1) * reported_latency_steps(algo, res.agg);
+  res.lat_us = reported_latency_us(algo, res.agg, logp);
   res.predicted_us = logp.us(res.tuned.predicted_latency_steps);
   res.work = res.agg.work.mean();
   res.incon = res.agg.inconsistency.mean();

@@ -2,12 +2,20 @@
 // Table 7 and Figures 1, 3, 5, 7 and 9 (see DESIGN.md Section 5).
 #pragma once
 
+#include <optional>
 #include <string>
 
+#include "common/flags.hpp"
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 
 namespace cg {
+
+/// The drivers' --l and --o flags (microseconds; defaults L = 2, O = 1) as
+/// a LogP.  Exits 2 naming the flags unless O >= 1, L >= 0 and O divides
+/// L: the model counts L/O whole steps, and silently truncating it (or
+/// dividing by zero) would run a different network than the one asked for.
+LogP logp_from_flags(const Flags& flags);
 
 /// The paper's headline failure budget: eps = 1-(1-0.5)^(1/1e6) = 6.93e-7
 /// (50% chance that all 10^6 trials succeed).
@@ -26,15 +34,23 @@ struct TunedAlgo {
 TunedAlgo tune_for(Algo algo, NodeId N, NodeId n_active, const LogP& logp,
                    double eps, int f = 1);
 
-/// Simulated latency the paper reports for this algorithm (steps):
-/// completion for the gossip family, last coloring for BIG/opt,
-/// ack-to-root for BFB.  Returns the MEAN of the aggregate.
+/// Simulated latency the paper reports for this algorithm, in
+/// microseconds: the MEAN over trials of completion for the gossip family,
+/// last coloring for SBRB/BIG/opt, ack-to-root for BFB.  nullopt when no
+/// trial produced that measure (e.g. every trial hit max steps); printed
+/// rows show it as n/a (Table::cell_or_na).
+std::optional<double> reported_latency_us(Algo algo, const TrialAggregate& agg,
+                                          const LogP& logp);
+
+/// The same mean in steps, with 0 for "no trial produced it".  Kept for
+/// perfbench/'s sim_latency_us, whose workloads always complete; anything
+/// that prints a latency uses reported_latency_us.
 double reported_latency_steps(Algo algo, const TrialAggregate& agg);
 
 struct ScenarioResult {
   TunedAlgo tuned;
   TrialAggregate agg;
-  double lat_us = 0;        ///< simulated (mean)
+  std::optional<double> lat_us;  ///< simulated (mean); see reported_latency_us
   double predicted_us = 0;  ///< model prediction
   double work = 0;          ///< mean messages per trial
   double incon = 0;         ///< mean share of active nodes not reached

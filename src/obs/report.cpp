@@ -134,6 +134,7 @@ void write_json(JsonWriter& w, const EngineProfile& prof) {
   w.kv("events_per_sec", prof.events_per_sec());
   w.kv("bytes_per_node", prof.bytes_per_node);
   w.kv("peak_rss_bytes", prof.peak_rss_bytes);
+  w.kv("huge_page_bytes", prof.huge_page_bytes);
   if (prof.shards > 0) {
     w.kv("shards", static_cast<std::int64_t>(prof.shards));
     w.kv("windows", prof.windows);

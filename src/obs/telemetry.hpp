@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/huge_pages.hpp"
 #include "common/types.hpp"
 #include "sim/core/profile.hpp"
 #include "sim/metrics.hpp"
@@ -300,7 +301,7 @@ class Telemetry {
   };
 
   std::vector<TelemetryCell> cells_;
-  std::vector<Mark> marks_;
+  NodeArray<Mark> marks_;
   TelemetryCell total_;
   LogHistogram retransmits_;
   std::int64_t runs_ = 0;

@@ -14,9 +14,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/check.hpp"
+#include "common/huge_pages.hpp"
 #include "common/types.hpp"
 
 namespace cg {
@@ -119,7 +119,7 @@ class PackedBits {
   }
 
   NodeId n_ = 0;
-  std::vector<std::uint64_t> words_;
+  NodeArray<std::uint64_t> words_;
 };
 
 }  // namespace cg

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/huge_pages.hpp"
 #include "common/types.hpp"
 #include "proto/message.hpp"
 
@@ -132,7 +133,7 @@ inline bool canonical_before(const CalRecord& a, const CalRecord& b) {
 
 /// One calendar slot: the records due at one step and their known ids.
 struct CalendarSlot {
-  std::vector<CalRecord> recs;
+  NodeArray<CalRecord> recs;
   std::vector<NodeId> known;
 
   bool empty() const { return recs.empty(); }
@@ -167,7 +168,7 @@ struct CalendarSlot {
 
 /// A shard's cross-shard sends for one window parity.
 struct BoundaryBox {
-  std::vector<BoundaryRecord> recs;
+  NodeArray<BoundaryRecord> recs;
   std::vector<NodeId> known;
 
   void push(Step at, Step sent_at, NodeId to, const Message& m) {
@@ -190,7 +191,7 @@ class SlotMerger {
  public:
   /// Put `recs` into canonical_before order.  May swap `recs` with the
   /// scratch buffer, so pointers into `recs` are invalidated.
-  void order(std::vector<CalRecord>& recs) {
+  void order(NodeArray<CalRecord>& recs) {
     const std::size_t n = recs.size();
     if (n < 2) return;
     bounds_.clear();
@@ -202,8 +203,8 @@ class SlotMerger {
     buf_.resize(n);
     // Bottom-up pairwise merging, ping-ponging between recs and buf_;
     // bounds_ holds each pass's run starts followed by n.
-    std::vector<CalRecord>* from = &recs;
-    std::vector<CalRecord>* to = &buf_;
+    NodeArray<CalRecord>* from = &recs;
+    NodeArray<CalRecord>* to = &buf_;
     while (bounds_.size() > 2) {
       const auto src = from->begin();
       const auto dst = to->begin();
@@ -235,7 +236,7 @@ class SlotMerger {
   }
 
  private:
-  std::vector<CalRecord> buf_;
+  NodeArray<CalRecord> buf_;
   std::vector<std::size_t> bounds_;
 };
 

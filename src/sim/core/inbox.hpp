@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/huge_pages.hpp"
 #include "proto/message.hpp"
 
 namespace cg {
@@ -96,7 +97,7 @@ class InboxSlab {
     head_.assign(nodes, kNil);
     tail_.assign(nodes, kNil);
     if (entries_.capacity() > kHighWater) {
-      std::vector<Entry>().swap(entries_);
+      NodeArray<Entry>().swap(entries_);
     } else {
       entries_.clear();
     }
@@ -151,9 +152,9 @@ class InboxSlab {
     std::int32_t next = kNil;
   };
 
-  std::vector<Entry> entries_;
-  std::vector<std::int32_t> head_;  // per local node; kNil = empty
-  std::vector<std::int32_t> tail_;
+  NodeArray<Entry> entries_;
+  NodeArray<std::int32_t> head_;  // per local node; kNil = empty
+  NodeArray<std::int32_t> tail_;
   std::int32_t free_ = kNil;
 };
 

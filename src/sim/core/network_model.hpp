@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/huge_pages.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "proto/message.hpp"
@@ -163,12 +164,12 @@ class NetworkModel {
   Step link_extra_max_ = 0;
   double drop_prob_ = 0.0;
   BurstLoss burst_{};
-  std::vector<Xoshiro256> jitter_rng_;
-  std::vector<Xoshiro256> loss_rng_;
-  std::vector<Xoshiro256> burst_rng_;
-  std::vector<std::uint8_t> burst_bad_;  // chain state per sender (0 = good)
-  std::vector<Step> burst_step_;         // step the chain was advanced to
-  std::vector<Step> factor_;             // straggler factors (empty = all 1)
+  NodeArray<Xoshiro256> jitter_rng_;
+  NodeArray<Xoshiro256> loss_rng_;
+  NodeArray<Xoshiro256> burst_rng_;
+  NodeArray<std::uint8_t> burst_bad_;  // chain state per sender (0 = good)
+  NodeArray<Step> burst_step_;         // step the chain was advanced to
+  NodeArray<Step> factor_;             // straggler factors (empty = all 1)
   Step max_factor_ = 1;
   std::vector<PartitionMask> partitions_;
 };

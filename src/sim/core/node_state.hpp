@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/huge_pages.hpp"
 #include "common/types.hpp"
 #include "sim/fault/byzantine.hpp"
 #include "sim/metrics.hpp"
@@ -221,9 +222,9 @@ class NodeStateStore {
     m.distinct_delivered_payloads = n_seen;
     m.consistent_delivery = n_seen <= 1;
     if (record_node_detail) {
-      m.colored_at = colored_at_;
-      m.delivered_at = delivered_at_;
-      m.completed_at = completed_at_;
+      m.colored_at.assign(colored_at_.begin(), colored_at_.end());
+      m.delivered_at.assign(delivered_at_.begin(), delivered_at_.end());
+      m.completed_at.assign(completed_at_.begin(), completed_at_.end());
     }
   }
 
@@ -245,17 +246,17 @@ class NodeStateStore {
   // std::uint8_t, not vector<bool>: the sharded engine writes these from
   // different threads for different nodes; byte-sized elements keep that
   // race-free under the C++ memory model.
-  std::vector<std::uint8_t> alive_;
-  std::vector<NodeRunState> state_;
-  std::vector<Step> colored_at_;
-  std::vector<Step> delivered_at_;
-  std::vector<Step> completed_at_;
-  std::vector<Step> activated_at_;
+  NodeArray<std::uint8_t> alive_;
+  NodeArray<NodeRunState> state_;
+  NodeArray<Step> colored_at_;
+  NodeArray<Step> delivered_at_;
+  NodeArray<Step> completed_at_;
+  NodeArray<Step> activated_at_;
   // Byzantine tier: digest each node holds / delivered (0 = none yet) and
   // the adversary flags.  Same owner-disjoint thread-safety rules apply.
-  std::vector<std::uint32_t> held_payload_;
-  std::vector<std::uint32_t> delivered_payload_;
-  std::vector<std::uint8_t> byzantine_;
+  NodeArray<std::uint32_t> held_payload_;
+  NodeArray<std::uint32_t> delivered_payload_;
+  NodeArray<std::uint8_t> byzantine_;
 };
 
 }  // namespace cg

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <string_view>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -66,6 +67,45 @@ inline std::int64_t current_rss_bytes() {
   return current_peak_rss_bytes();
 }
 
+/// The AnonHugePages figure of a /proc/<pid>/smaps_rollup text, in bytes
+/// (the file reports kB), or 0 when the line is missing or malformed.
+inline std::int64_t parse_anon_huge_pages(std::string_view smaps) {
+  constexpr std::string_view kKey = "AnonHugePages:";
+  for (std::size_t at = 0; at < smaps.size();) {
+    std::size_t eol = smaps.find('\n', at);
+    if (eol == std::string_view::npos) eol = smaps.size();
+    const std::string_view line = smaps.substr(at, eol - at);
+    at = eol + 1;
+    if (line.substr(0, kKey.size()) != kKey) continue;
+    std::size_t i = kKey.size();
+    while (i < line.size() && line[i] == ' ') ++i;
+    std::int64_t kb = 0;
+    const std::size_t digits = i;
+    while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
+      if (kb > (std::int64_t{1} << 50)) return 0;  // beyond any real host
+      kb = kb * 10 + (line[i++] - '0');
+    }
+    if (i == digits || line.substr(i) != " kB") return 0;
+    return kb * 1024;
+  }
+  return 0;
+}
+
+/// Bytes of this process's anonymous memory the kernel backs with
+/// transparent huge pages (AnonHugePages of /proc/self/smaps_rollup), or 0
+/// where that file cannot be read.  Whole-process, like the peak RSS.
+inline std::int64_t current_huge_page_bytes() {
+#if defined(__linux__)
+  if (std::FILE* f = std::fopen("/proc/self/smaps_rollup", "r")) {
+    char buf[4096];
+    const std::size_t got = std::fread(buf, 1, sizeof buf, f);
+    std::fclose(f);
+    return parse_anon_huge_pages(std::string_view(buf, got));
+  }
+#endif
+  return 0;
+}
+
 struct EngineProfile {
   std::int64_t callbacks_start = 0;
   std::int64_t callbacks_receive = 0;
@@ -84,9 +124,12 @@ struct EngineProfile {
 
   // Memory-plan accounting (every engine fills these): bytes of per-run
   // engine state (node slab, RNG streams, lifecycle arrays, calendars,
-  // inboxes) divided by n, and the process peak RSS at the end of the run.
+  // inboxes) divided by n, the process peak RSS at the end of the run, and
+  // how much of the process's memory the kernel backed with huge pages
+  // then (common/huge_pages.hpp; 0 on a host with THP off).
   std::int64_t bytes_per_node = 0;
   std::int64_t peak_rss_bytes = 0;
+  std::int64_t huge_page_bytes = 0;
 
   // Sharded-engine counters (zero for the other engines).
   struct ShardStat {

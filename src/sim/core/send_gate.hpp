@@ -12,9 +12,8 @@
 // shard.
 #pragma once
 
-#include <vector>
-
 #include "common/check.hpp"
+#include "common/huge_pages.hpp"
 #include "common/types.hpp"
 
 namespace cg {
@@ -36,7 +35,7 @@ class SendGate {
  private:
   static constexpr Step kNeverSent = -1;  // valid steps are >= 0
 
-  std::vector<Step> last_send_;
+  NodeArray<Step> last_send_;
 };
 
 }  // namespace cg

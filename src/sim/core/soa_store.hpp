@@ -7,9 +7,10 @@
 //   * packed bitmaps MIRRORING the Active and colored states (kept
 //     coherent by the transition wrappers below), so per-step sweeps
 //     scan 64 nodes per word instead of a byte per node;
-//   * the dense protocol slab (vector<Node>, contiguous - GOS nodes are
+//   * the dense protocol slab (NodeArray<Node>, contiguous - GOS nodes are
 //     ~16 bytes, so a million nodes fit in a few cache-resident MB) and
-//     the per-node RNG streams.
+//     the per-node RNG streams, both on huge pages once they reach 2 MiB
+//     (common/huge_pages.hpp).
 //
 // The existing Protocol object API (on_start/on_tick/on_receive against
 // BasicCtx) keeps working: the engine's shard view forwards every ctx_*
@@ -24,8 +25,8 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
+#include "common/huge_pages.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "sim/core/bitset.hpp"
@@ -170,8 +171,8 @@ class SoaNodeStore {
   PackedBits active_;   // mirrors state == kActive
   PackedBits colored_;  // mirrors colored_at != kNever
   PackedBits sbrb_pending_;  // SBRB kernel: nodes with staged sends
-  std::vector<Node> nodes_;
-  std::vector<Xoshiro256> rng_;
+  NodeArray<Node> nodes_;
+  NodeArray<Xoshiro256> rng_;
 };
 
 }  // namespace cg

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/huge_pages.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "obs/telemetry.hpp"
@@ -213,23 +214,23 @@ class Engine {
 
   // Run state (valid during run()).
   Step step_ = 0;
-  std::vector<Node> nodes_;
-  std::vector<Xoshiro256> rng_;
+  NodeArray<Node> nodes_;
+  NodeArray<Xoshiro256> rng_;
   NetworkModel net_;
   NodeStateStore store_;
   SendGate gate_;
   ByzantineModel byz_;
   std::uint32_t rx_payload_ = 0;  ///< digest of the message being dispatched
   MessageCounts counts_;
-  std::vector<std::vector<Delivery>> calendar_;  // ring buffer, D+1 slots
-  std::vector<InboxBuf> inbox_;                  // kOnePerStep only
-  std::vector<Step> inbox_stamp_;                // kOnePerStep scratch
-  std::vector<std::size_t> inbox_tail_;          // kOnePerStep scratch
-  std::vector<Delivery> due_;                    // per-step scratch
-  std::vector<OnlineFailure> online_scratch_;    // sorted crash schedule
-  std::vector<Restart> revive_scratch_;          // sorted revival schedule
-  PackedBits sbrb_pending_;                      // kSbrbStaged kernel only
-  bool sbrb_kernel_ = false;                     // kernel engaged this run
+  std::vector<NodeArray<Delivery>> calendar_;  // ring buffer, D+1 slots
+  NodeArray<InboxBuf> inbox_;                  // kOnePerStep only
+  NodeArray<Step> inbox_stamp_;                // kOnePerStep scratch
+  NodeArray<std::size_t> inbox_tail_;          // kOnePerStep scratch
+  NodeArray<Delivery> due_;                    // per-step scratch
+  std::vector<OnlineFailure> online_scratch_;  // sorted crash schedule
+  std::vector<Restart> revive_scratch_;        // sorted revival schedule
+  PackedBits sbrb_pending_;                    // kSbrbStaged kernel only
+  bool sbrb_kernel_ = false;                   // kernel engaged this run
   std::int64_t in_flight_ = 0;
   NodeId active_count_ = 0;
   RunMetrics metrics_{};
@@ -620,6 +621,7 @@ RunMetrics Engine<Node>::run_impl() {
     prof->bytes_per_node =
         static_cast<std::int64_t>(fp / static_cast<std::size_t>(cfg_.n));
     prof->peak_rss_bytes = current_peak_rss_bytes();
+    prof->huge_page_bytes = current_huge_page_bytes();
   }
   return finalize();
 }

@@ -34,6 +34,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/huge_pages.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "proto/message.hpp"
@@ -226,7 +227,7 @@ class ByzantineModel {
            kForgedBit;
   }
 
-  std::vector<std::uint8_t> role_;
+  NodeArray<std::uint8_t> role_;
   std::uint64_t salt_ = 0;
   NodeId n_ = 0;
   NodeId root_ = 0;

@@ -98,6 +98,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/huge_pages.hpp"
 #include "common/rng.hpp"
 #include "gossip/timing.hpp"
 #include "obs/telemetry.hpp"
@@ -425,9 +426,9 @@ class ShardedEngine {
   NetworkModel net_;
   SendGate gate_;
   ByzantineModel byz_;
-  std::vector<Step> crash_at_;    // pending scheduled crash (kNever = none)
-  bool any_crash_ = false;        // any online failure or restart scheduled
-  std::vector<Step> restart_up_;  // revive step (kNever = none)
+  NodeArray<Step> crash_at_;    // pending scheduled crash (kNever = none)
+  bool any_crash_ = false;      // any online failure or restart scheduled
+  NodeArray<Step> restart_up_;  // revive step (kNever = none)
   std::vector<ShardState> shards_;
 
   // Window bookkeeping (written single-threaded: setup or completion fn).
@@ -873,6 +874,7 @@ RunMetrics ShardedEngine<Node>::run() {
         static_cast<std::int64_t>(footprint_bytes() / n);
     prof->peak_rss_bytes = current_peak_rss_bytes();
     prof->wall_s = ProfileClock::seconds_since(prof_run0);
+    prof->huge_page_bytes = current_huge_page_bytes();
   }
   for (const auto& st : shards_) st.counts.merge_into(metrics_);
   soa_.finalize(metrics_, cfg_.root, t_end, cfg_.record_node_detail);

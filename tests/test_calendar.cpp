@@ -40,7 +40,7 @@ CalRecord key_record(Step sent_at, NodeId src, NodeId to) {
 // key's serial number, so the ordered slot can be checked against the
 // reference without comparing packed fields.
 struct Slot {
-  std::vector<CalRecord> recs;
+  NodeArray<CalRecord> recs;
   std::vector<std::pair<Step, NodeId>> keys;  // by serial number
 };
 
@@ -80,7 +80,7 @@ std::vector<NodeId> reference_order(const Slot& s) {
   return idx;
 }
 
-std::vector<NodeId> serials(const std::vector<CalRecord>& recs) {
+std::vector<NodeId> serials(const NodeArray<CalRecord>& recs) {
   std::vector<NodeId> out;
   for (const auto& r : recs) out.push_back(r.to);
   return out;
@@ -115,10 +115,10 @@ TEST(SlotMerger, MatchesSortOnRandomRunSlots) {
 
 TEST(SlotMerger, EmptyAndOneEntrySlots) {
   SlotMerger merger;
-  std::vector<CalRecord> empty;
+  NodeArray<CalRecord> empty;
   merger.order(empty);
   EXPECT_TRUE(empty.empty());
-  std::vector<CalRecord> one{key_record(5, 9, 0)};
+  NodeArray<CalRecord> one{key_record(5, 9, 0)};
   merger.order(one);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0].src, 9);
@@ -143,7 +143,7 @@ TEST(SlotMerger, ReverseRunsAndEqualSendSteps) {
   // Two shards' sends from the same step: the later-appended run holds
   // the smaller senders (shard 1's slot in a two-shard run).
   SlotMerger merger;
-  std::vector<CalRecord> recs;
+  NodeArray<CalRecord> recs;
   for (NodeId s = 100; s < 200; ++s) recs.push_back(key_record(7, s, s));
   for (NodeId s = 0; s < 100; ++s) recs.push_back(key_record(7, s, s));
   merger.order(recs);

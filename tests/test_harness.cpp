@@ -2,6 +2,7 @@
 // sampling, and the scenario pipeline.
 #include <gtest/gtest.h>
 
+#include "common/table.hpp"
 #include "harness/experiment.hpp"
 #include "harness/scenarios.hpp"
 #include "sim/failure.hpp"
@@ -121,15 +122,39 @@ TEST(Scenarios, ReportedLatencyPicksTheRightMetric) {
   EXPECT_DOUBLE_EQ(reported_latency_steps(Algo::kCcg, agg), 20.0);
   EXPECT_DOUBLE_EQ(reported_latency_steps(Algo::kBig, agg), 10.0);
   EXPECT_DOUBLE_EQ(reported_latency_steps(Algo::kBfb, agg), 30.0);
+  const LogP half_us{.l_over_o = 2, .o_us = 0.5};
+  EXPECT_EQ(reported_latency_us(Algo::kCcg, agg, half_us), 10.0);
+  EXPECT_EQ(reported_latency_us(Algo::kSbrb, agg, half_us), 5.0);
+  EXPECT_EQ(reported_latency_us(Algo::kBfb, agg, half_us), 15.0);
+}
+
+TEST(Scenarios, LatencyOverNoCompletedTrialIsNotAValue) {
+  // Every trial truncated: no completion, no coloring of all nodes, no
+  // root completion.  The mean must read "no value", not 0 - a run where
+  // nothing finished is not the fastest possible run.
+  TrialAggregate agg;
+  RunMetrics m;
+  m.n_total = m.n_active = 4;
+  m.n_colored = 2;
+  m.hit_max_steps = true;
+  agg.absorb(m);
+  for (const Algo a : {Algo::kCcg, Algo::kSbrb, Algo::kBig, Algo::kBfb}) {
+    EXPECT_FALSE(reported_latency_us(a, agg, LogP::unit()).has_value())
+        << algo_name(a);
+    EXPECT_EQ(reported_latency_steps(a, agg), 0.0) << algo_name(a);
+  }
+  EXPECT_EQ(Table::cell_or_na("%.2f", std::nullopt), "n/a");
+  EXPECT_EQ(Table::cell_or_na("%.2f", 3.0), "3.00");
 }
 
 TEST(Scenarios, RunScenarioEndToEnd) {
   const ScenarioResult r =
       run_scenario(Algo::kOcg, 256, 4, LogP::piz_daint(), 30, 11, 1e-3);
   EXPECT_EQ(r.agg.trials, 30);
-  EXPECT_GT(r.lat_us, 0);
+  ASSERT_TRUE(r.lat_us.has_value());
+  EXPECT_GT(*r.lat_us, 0);
   EXPECT_GT(r.predicted_us, 0);
-  EXPECT_NEAR(r.lat_us, r.predicted_us, 0.35 * r.predicted_us);
+  EXPECT_NEAR(*r.lat_us, r.predicted_us, 0.35 * r.predicted_us);
   EXPECT_LT(r.incon, 0.01);
 }
 

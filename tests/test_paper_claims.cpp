@@ -218,12 +218,12 @@ TEST(PaperTable7, HeadlineOrderingsHold) {
   const ModelRow bfb = bfb_model_row(n, 0, pd);
 
   // Latency ordering: OCG <= CCG <= FCG < BIG < BFB.
-  EXPECT_LE(ocg.lat_us, ccg.lat_us);
-  EXPECT_LE(ccg.lat_us, fcg.lat_us);
-  EXPECT_LT(fcg.lat_us, big.lat_us);   // "FCG ... 15% lower latency than BIG"
+  EXPECT_LE(ocg.lat_us.value(), ccg.lat_us.value());
+  EXPECT_LE(ccg.lat_us.value(), fcg.lat_us.value());
+  EXPECT_LT(fcg.lat_us.value(), big.lat_us);  // "FCG ... 15% lower latency than BIG"
   EXPECT_LT(big.lat_us, bfb.lat_us);
   // "OCG ... 20% lower latency than GOS".
-  EXPECT_LT(ocg.lat_us, 0.9 * gos.lat_us);
+  EXPECT_LT(ocg.lat_us.value(), 0.9 * gos.lat_us.value());
   // "OCG ... less messages (work) ... than GOS" (paper: 60% less).
   EXPECT_LT(ocg.work, 0.6 * gos.work);
   // BFB needs the fewest messages of all (paper: "BFB requires the least
