@@ -14,7 +14,9 @@ tree won, and whether the claim rule holds: at least 9 of 10 pairs won
 (the same share for other pair counts) and a median gap larger than the
 parent's IQR.  Also prints every run's load and steal share from its
 environment stamp, warning when the host looked busy, and the address mod
-64 and size (`nm -C -S`) of the pinned hot loops in both binaries.
+64 and size (`nm -C -S`) of the hot functions in both binaries: the pinned
+loops, and the stepped engine's dispatch and do_send, whose inlining moves
+with unrelated changes (a function GCC inlined is reported as absent).
 
 Writes nothing inside the repository except what perfbench/run.py itself
 builds (.bench_build/).  Exit status: 0, or 1 when a run fails.
@@ -31,6 +33,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BINARY = os.path.join(".bench_build", "perfbench", "perfbench")
 HOT_LOOPS = (
     "cg::Engine<cg::CcgNode>::run_impl()",
+    "cg::Engine<cg::CcgNode>::dispatch(int, cg::Message const&)",
+    "cg::Engine<cg::CcgNode>::do_send(int, int, cg::Message const&)",
     "cg::ShardedEngine<cg::CcgNode>::run_window(int, long, long)",
     "cg::ShardedEngine<cg::SbrbNode>::run_window(int, long, long)",
 )
@@ -118,12 +122,16 @@ def host_note(env):
 
 
 def hot_loops(binary):
-    """{symbol: (address mod 64, size)} for HOT_LOOPS in `binary`."""
+    """{symbol: (address mod 64, size)} for HOT_LOOPS in `binary`, or None
+    when `binary` cannot be read."""
     try:
-        out = subprocess.run(["nm", "-C", "-S", binary], capture_output=True,
-                             text=True).stdout
+        proc = subprocess.run(["nm", "-C", "-S", binary], capture_output=True,
+                              text=True)
     except OSError:
-        return {}
+        return None
+    if proc.returncode != 0:
+        return None
+    out = proc.stdout
     found = {}
     for line in out.splitlines():
         parts = line.split(None, 3)
@@ -199,13 +207,16 @@ def main():
         if failed:
             print("WARNING: %d failed operations" % failed)
 
-    print("\nhot loops (address mod 64, size in bytes)")
+    print("\nhot functions (address mod 64, size in bytes; absent = inlined)")
     loops = {s: hot_loops(os.path.join(sides[s], BINARY)) for s in sides}
+    for s in sides:
+        if loops[s] is None:
+            print("  %s: cannot read %s" % (s, BINARY))
     for sym in HOT_LOOPS:
         cells = []
         for s in sides:
-            off = loops[s].get(sym)
-            cells.append("%s %s" % (s, "%d, %d" % off if off else "missing"))
+            off = (loops[s] or {}).get(sym)
+            cells.append("%s %s" % (s, "%d, %d" % off if off else "absent"))
         print("  %-60s %s" % (sym, " | ".join(cells)))
 
 

@@ -48,10 +48,11 @@ inline void print_header(const char* title) {
 }
 
 /// Shared --threads flag for the trial-farm drivers: 0 (the default)
-/// means auto-detect (see cg::resolve_threads).  Results are identical
-/// for every value - the farm's determinism contract (docs/PERF.md §5).
+/// means auto-detect (see cg::resolve_threads), at most kMaxThreads.
+/// Results are identical for every value - the farm's determinism
+/// contract (docs/PERF.md §5).
 inline int threads_flag(const Flags& flags) {
-  return static_cast<int>(flags.get_int("threads", 0));
+  return static_cast<int>(flags.get_int_in("threads", 0, 0, kMaxThreads));
 }
 
 /// Shared --engine / --shards flags: pick the execution engine carrying
@@ -65,7 +66,8 @@ inline ExecConfig exec_flag(const Flags& flags) {
                  engine_names_list());
     std::exit(2);
   }
-  exec.threads = flags.get_count("shards", 1);
+  exec.threads =
+      static_cast<int>(flags.get_int_in("shards", 1, 1, kMaxThreads));
   return exec;
 }
 

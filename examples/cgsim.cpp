@@ -126,7 +126,8 @@ int main(int argc, char** argv) {
   spec.logp = logp;
   spec.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   spec.trials = flags.get_count("trials", 1000);
-  spec.threads = static_cast<int>(flags.get_int("threads", 0));
+  spec.threads =
+      static_cast<int>(flags.get_int_in("threads", 0, 0, kMaxThreads));
   spec.jitter_max = flags.get_int("jitter", 0);
   spec.drop_prob = flags.get_double("drop-prob", flags.get_double("drop", 0.0));
   spec.burst_loss = flags.get_double("burst-loss", 0.0);
@@ -164,7 +165,8 @@ int main(int argc, char** argv) {
                  engine_names_list());
     return 2;
   }
-  spec.exec.threads = flags.get_count("shards", 1);
+  spec.exec.threads =
+      static_cast<int>(flags.get_int_in("shards", 1, 1, kMaxThreads));
 
   // Parameters: explicit flags override the model-tuned defaults.
   const TunedAlgo tuned = tune_for(algo, n, n - pre, logp, eps, f);
@@ -293,15 +295,15 @@ int main(int argc, char** argv) {
   Table table({"metric", "value"});
   table.add_row({"latency (mean, us)",
                  Table::cell_or_na("%.2f", reported_latency_us(algo, agg, logp))});
-  if (!agg.t_complete.empty()) {
-    table.add_row({"latency p50 (us)",
-                   Table::cell("%.2f", logp.us(1) * agg.t_complete.p50())});
-    table.add_row({"latency p90 (us)",
-                   Table::cell("%.2f", logp.us(1) * agg.t_complete.p90())});
-    table.add_row({"latency p99 (us)",
-                   Table::cell("%.2f", logp.us(1) * agg.t_complete.quantile(0.99))});
-    table.add_row({"latency max (us)",
-                   Table::cell("%.2f", logp.us(1) * agg.t_complete.max())});
+  // The percentiles describe the same per-trial sample as the mean.
+  const Samples& lat = reported_latency_sample(algo, agg);
+  if (!lat.empty()) {
+    const double us = logp.us(1);
+    table.add_row({"latency p50 (us)", Table::cell("%.2f", us * lat.p50())});
+    table.add_row({"latency p90 (us)", Table::cell("%.2f", us * lat.p90())});
+    table.add_row(
+        {"latency p99 (us)", Table::cell("%.2f", us * lat.quantile(0.99))});
+    table.add_row({"latency max (us)", Table::cell("%.2f", us * lat.max())});
   }
   if (!agg.t_last_colored_partial.empty())
     table.add_row(

@@ -74,7 +74,8 @@ int main(int argc, char** argv) {
                  engine_names_list());
     return 2;
   }
-  exec.threads = flags.get_count("shards", 1);
+  exec.threads =
+      static_cast<int>(flags.get_int_in("shards", 1, 1, kMaxThreads));
   const LogP logp = LogP::piz_daint();
   const double eps = 1e-4;
   std::unique_ptr<Heartbeat> heartbeat;
@@ -103,7 +104,8 @@ int main(int argc, char** argv) {
     for (const int crashes : {0, 1, kMaxCrashes}) {
       const TunedAlgo tuned = tune_for(a, n, n, logp, eps, /*f=*/1);
       TrialSpec spec;
-      spec.threads = static_cast<int>(flags.get_int("threads", 0));
+      spec.threads =
+          static_cast<int>(flags.get_int_in("threads", 0, 0, kMaxThreads));
       spec.heartbeat = heartbeat.get();
       spec.exec = exec;
       spec.algo = a;

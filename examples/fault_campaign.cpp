@@ -125,7 +125,8 @@ int main(int argc, char** argv) {
   cfg.logp = LogP::piz_daint();
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 21));
   cfg.trials = flags.get_count("trials", 100);
-  cfg.threads = static_cast<int>(flags.get_int("threads", 0));
+  cfg.threads =
+      static_cast<int>(flags.get_int_in("threads", 0, 0, kMaxThreads));
 
   int byz_count = static_cast<int>(flags.get_int("byz", 0));
   const bool byz_root = flags.get_bool("byz-root", false);

@@ -6,10 +6,11 @@
 #   cmake -DCGSIM=<bin> -DTUNING_ADVISOR=<bin> -DFAILURE_DRILL=<bin>
 #         -P flag_fuzz.cmake
 #
-# --shards and --threads get no value above 8: a multi-shard run asks the
-# thread pool for one thread per shard.
+# --shards and --threads get no valid value above 8: a multi-shard run asks
+# the thread pool for one thread per shard.  2^63 is rejected before any
+# thread starts (both flags stop at kMaxThreads, common/flags.hpp).
 set(values "-1" "0" "" "9223372036854775808" "abc")
-set(pool_values "-1" "0" "" "abc" "8")
+set(pool_values "-1" "0" "" "abc" "8" "9223372036854775808")
 set(base --n=64 --trials=1)
 
 set(cgsim_flags

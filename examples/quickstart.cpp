@@ -10,7 +10,8 @@
 int main(int argc, char** argv) {
   const cg::Flags flags(argc, argv);
   const auto n = flags.get_count("n", 1024);
-  const int threads = static_cast<int>(flags.get_int("threads", 0));
+  const auto threads =
+      static_cast<int>(flags.get_int_in("threads", 0, 0, cg::kMaxThreads));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   std::printf("corrected-gossip quickstart: N=%d nodes, LogP L=2us O=1us\n\n",

@@ -14,6 +14,11 @@
 
 namespace cg {
 
+/// Upper bound of every --threads and --shards flag.  Each unit may start
+/// one OS thread (a trial-farm worker, or a pool participant per shard),
+/// so an unbounded value would ask the process for that many threads.
+inline constexpr int kMaxThreads = 256;
+
 class Flags {
  public:
   Flags(int argc, char** argv);
@@ -30,7 +35,7 @@ class Flags {
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
 
-  /// A count (--n, --max-n, --trials, --shards, ...): an integer in
+  /// A count (--n, --max-n, --trials, ...): an integer in
   /// [1, 2147483647], the positive NodeId/int range.  Any other value
   /// exits 2 naming the flag and the range, instead of narrowing silently
   /// or tripping a CG_CHECK deep in the run.

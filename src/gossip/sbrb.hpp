@@ -306,7 +306,7 @@ class SbrbNode {
     return {st.to, m};
   }
 
-  /// Prefetch hints for the engines' software-pipelined dispatch loops.
+  /// Prefetch hints for the sharded engine's software-pipelined loops.
   /// Receives are latency-bound on a dependent-load chain (node header ->
   /// sample/subscriber data); issuing the second hop a couple of
   /// deliveries early overlaps it with the preceding handlers.  Pure

@@ -106,9 +106,6 @@ TunedAlgo tune_for(Algo algo, NodeId N, NodeId n_active, const LogP& logp,
   return out;
 }
 
-namespace {
-
-/// The per-trial sample reported_latency_us averages.
 const Samples& reported_latency_sample(Algo algo, const TrialAggregate& agg) {
   switch (algo) {
     case Algo::kGos:
@@ -126,8 +123,6 @@ const Samples& reported_latency_sample(Algo algo, const TrialAggregate& agg) {
   }
   return agg.t_complete;
 }
-
-}  // namespace
 
 std::optional<double> reported_latency_us(Algo algo, const TrialAggregate& agg,
                                           const LogP& logp) {

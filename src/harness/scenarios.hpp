@@ -34,6 +34,12 @@ struct TunedAlgo {
 TunedAlgo tune_for(Algo algo, NodeId N, NodeId n_active, const LogP& logp,
                    double eps, int f = 1);
 
+/// The per-trial latency sample the paper reports for this algorithm, in
+/// steps: completion for the gossip family, last coloring for SBRB/BIG/
+/// opt, ack-to-root for BFB.  Its mean and its percentiles describe the
+/// same quantity.
+const Samples& reported_latency_sample(Algo algo, const TrialAggregate& agg);
+
 /// Simulated latency the paper reports for this algorithm, in
 /// microseconds: the MEAN over trials of completion for the gossip family,
 /// last coloring for SBRB/BIG/opt, ack-to-root for BFB.  nullopt when no

@@ -1,19 +1,22 @@
-// Structure-of-arrays node state for the sharded engine.
+// Structure-of-arrays node state - the node store both engines share.
 //
-// SoaNodeStore<Node> is the flat memory plan behind million-node runs:
-//   * NodeStateStore - the canonical lifecycle/timestamp arrays every
-//     engine shares (semantics and RunMetrics finalization stay in ONE
-//     place, so the sharded engine cannot drift from the others);
+// SoaNodeStore<Node> is the flat memory plan behind million-node runs, and
+// the stepped oracle (sim/engine.hpp) and the sharded engine
+// (sim/sharded_engine.hpp) both keep their nodes in it:
+//   * NodeStateStore - the canonical lifecycle/timestamp arrays and the
+//     one RunMetrics finalization (semantics stay in ONE place, so the
+//     engines cannot drift apart);
 //   * packed bitmaps MIRRORING the Active and colored states (kept
-//     coherent by the transition wrappers below), so per-step sweeps
+//     coherent by the transition wrappers below), so per-step tick sweeps
 //     scan 64 nodes per word instead of a byte per node;
 //   * the dense protocol slab (NodeArray<Node>, contiguous - GOS nodes are
 //     ~16 bytes, so a million nodes fit in a few cache-resident MB) and
 //     the per-node RNG streams, both on huge pages once they reach 2 MiB
-//     (common/huge_pages.hpp).
+//     (common/huge_pages.hpp);
+//   * revival: revive() rebuilds the node's protocol object in place.
 //
 // The existing Protocol object API (on_start/on_tick/on_receive against
-// BasicCtx) keeps working: the engine's shard view forwards every ctx_*
+// BasicCtx) keeps working: each engine's ctx_* hooks forward every
 // transition through this store, which updates the byte arrays and the
 // bitmaps together.  Protocols never see the bitmaps - they are an engine
 // -side acceleration structure, not model state.
@@ -81,6 +84,8 @@ class SoaNodeStore {
 
   /// Bitmap of Active nodes (engine sweep acceleration; read-only).
   const PackedBits& active_bits() const { return active_; }
+  /// Bitmap of colored nodes (read-only).
+  const PackedBits& colored_bits() const { return colored_; }
 
   // --- dense SBRB state block (sharded SBRB step kernel) ------------------
   // One bit per node: "has staged sends" (SbrbNode::sbrb_idle() == false).
@@ -160,8 +165,11 @@ class SoaNodeStore {
   }
 
  private:
-  /// Same trait as Engine/ShardedEngine: in-place capacity-preserving
-  /// node reset, used for trial reruns and restart revival.
+  /// Does the Node support in-place reset (capacity-preserving return to
+  /// the freshly constructed state)?  Then trial reruns and restarts reuse
+  /// the node objects instead of re-emplacing them - the zero-alloc
+  /// steady state for protocols with internal buffers (SBRB's staging
+  /// queues).
   static constexpr bool kNodeReset =
       requires(Node& nd, const Params& p) {
         nd.reset_for_run(p, NodeId{0}, NodeId{2});

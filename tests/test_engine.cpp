@@ -1,9 +1,16 @@
 // Engine-mechanics tests using purpose-built probe protocols: delivery
 // timing, activation rules, failure handling, rx policies, termination,
-// and trace recording.
+// and trace recording; plus the two pieces both engines share, the
+// calendar record (a received message is the sent one) and the node
+// store's bitmaps, which cross-engine parity cannot check.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <utility>
+
+#include "sim/core/soa_store.hpp"
 #include "sim/engine.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace cg {
 namespace {
@@ -300,6 +307,165 @@ TEST(Engine, StopsWhenNoActivityRemains) {
   const RunMetrics m = eng.run();
   EXPECT_FALSE(m.hit_max_steps);
   EXPECT_LT(m.t_end, 10);  // promptly, not at max_steps
+}
+
+/// The root sends one message per tick, each to its own receiver, with
+/// every Message field set; receivers record what arrived.
+struct FieldProbe {
+  struct Params {
+    std::shared_ptr<const std::vector<std::pair<NodeId, Message>>> sends;
+    std::shared_ptr<std::vector<Message>> got;  // per node
+    std::shared_ptr<std::vector<int>> got_count;
+  };
+
+  FieldProbe(const Params& p, NodeId self, NodeId) : p_(p), self_(self) {}
+
+  template <class Ctx>
+  void on_start(Ctx& ctx) {
+    if (ctx.is_root()) ctx.mark_colored();
+  }
+
+  template <class Ctx>
+  void on_receive(Ctx&, const Message& m) {
+    // Per-node slots: each is written only by the receiver's own shard.
+    (*p_.got)[static_cast<std::size_t>(self_)] = m;
+    ++(*p_.got_count)[static_cast<std::size_t>(self_)];
+  }
+
+  template <class Ctx>
+  void on_tick(Ctx& ctx) {
+    if (ctx.is_root() && next_ < p_.sends->size()) {
+      const auto& [to, m] = (*p_.sends)[next_++];
+      ctx.send(to, m);
+      return;
+    }
+    ctx.complete();
+  }
+
+  Params p_;
+  NodeId self_;
+  std::size_t next_ = 0;
+};
+
+/// Every tag crossed with every known_count in 0..kMaxKnownF+1 (13 x 9
+/// messages, one receiver each), with retrans, payload and a time past 32
+/// bits varying too.  src is left unset: the engine stamps it.
+std::vector<std::pair<NodeId, Message>> field_probe_sends() {
+  std::vector<std::pair<NodeId, Message>> out;
+  const int count = kTagCount * (kMaxKnownF + 2);
+  for (int k = 0; k < count; ++k) {
+    Message m;
+    m.tag = static_cast<Tag>(k % kTagCount);
+    m.known_count = static_cast<std::uint8_t>(k % (kMaxKnownF + 2));
+    for (int j = 0; j < m.known_count; ++j)
+      m.known[static_cast<std::size_t>(j)] = 1000 * k + j + 1;
+    m.retrans = static_cast<std::uint8_t>(k % 3);
+    m.payload = 0x5000u + static_cast<std::uint32_t>(k);
+    m.time = (Step{1} << 40) + 7 * k;
+    out.push_back({static_cast<NodeId>(k + 1), m});
+  }
+  return out;
+}
+
+FieldProbe::Params make_field_probe(NodeId n) {
+  FieldProbe::Params p;
+  p.sends = std::make_shared<const std::vector<std::pair<NodeId, Message>>>(
+      field_probe_sends());
+  p.got = std::make_shared<std::vector<Message>>(static_cast<std::size_t>(n));
+  p.got_count =
+      std::make_shared<std::vector<int>>(static_cast<std::size_t>(n), 0);
+  return p;
+}
+
+void expect_received_as_sent(const FieldProbe::Params& p,
+                             const std::string& label) {
+  for (const auto& [to, sent] : *p.sends) {
+    const auto idx = static_cast<std::size_t>(to);
+    ASSERT_EQ((*p.got_count)[idx], 1) << label << " receiver " << to;
+    const Message& m = (*p.got)[idx];
+    EXPECT_EQ(m.src, 0) << label << " receiver " << to;
+    EXPECT_EQ(m.tag, sent.tag) << label << " receiver " << to;
+    EXPECT_EQ(m.known_count, sent.known_count) << label << " receiver " << to;
+    EXPECT_EQ(m.retrans, sent.retrans) << label << " receiver " << to;
+    EXPECT_EQ(m.payload, sent.payload) << label << " receiver " << to;
+    EXPECT_EQ(m.time, sent.time) << label << " receiver " << to;
+    EXPECT_EQ(m.known, sent.known) << label << " receiver " << to;
+  }
+}
+
+TEST(Engine, ReceiveSeesTheSentMessage) {
+  // 118 nodes: at K = 2 the second shard owns receivers 64..117, so half
+  // the messages cross the shard boundary (outbox records, side-array
+  // known ids appended into the destination slot).
+  const auto n = static_cast<NodeId>(field_probe_sends().size()) + 1;
+  for (const RxPolicy rx : {RxPolicy::kDrainAll, RxPolicy::kOnePerStep}) {
+    RunConfig cfg = cfg_n(n, 2);
+    cfg.rx = rx;
+    const std::string policy = rx == RxPolicy::kDrainAll ? "drain" : "one";
+    {
+      const auto p = make_field_probe(n);
+      Engine<FieldProbe> eng(cfg, p);
+      EXPECT_FALSE(eng.run().hit_max_steps);
+      expect_received_as_sent(p, "stepped rx=" + policy);
+    }
+    for (const int shards : {1, 2}) {
+      const auto p = make_field_probe(n);
+      ShardedEngine<FieldProbe> eng(cfg, p, shards);
+      EXPECT_FALSE(eng.run().hit_max_steps);
+      expect_received_as_sent(
+          p, "sharded/" + std::to_string(shards) + " rx=" + policy);
+    }
+  }
+}
+
+struct PlainNode {
+  struct Params {};
+  PlainNode(const Params&, NodeId, NodeId) {}
+};
+
+void expect_bitmaps_mirror(const SoaNodeStore<PlainNode>& store,
+                           std::uint64_t seed, int op) {
+  NodeId active = 0, colored = 0;
+  for (NodeId i = 0; i < store.n(); ++i) {
+    const bool is_active = store.state(i) == NodeRunState::kActive;
+    ASSERT_EQ(store.active_bits().test(i), is_active)
+        << "seed " << seed << " op " << op << " node " << i;
+    ASSERT_EQ(store.colored_bits().test(i), store.colored(i))
+        << "seed " << seed << " op " << op << " node " << i;
+    active += is_active ? 1 : 0;
+    colored += store.colored(i) ? 1 : 0;
+  }
+  EXPECT_EQ(store.active_bits().count_in(0, store.n()), active);
+  EXPECT_EQ(store.colored_bits().count_in(0, store.n()), colored);
+}
+
+TEST(SoaNodeStore, BitmapsMirrorLifecycleUnderRandomTransitions) {
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto n = static_cast<NodeId>(1 + rng() % 300);
+    std::uniform_int_distribution<NodeId> node(0, n - 1);
+    std::uniform_int_distribution<int> kind(0, 4);
+    SoaNodeStore<PlainNode> store;
+    for (int rerun = 0; rerun < 2; ++rerun) {
+      store.reset(n, seed, {});
+      expect_bitmaps_mirror(store, seed, -1);
+      // Engines pre-fail before the run starts; the rest may interleave.
+      for (NodeId i = 0; i < n; ++i)
+        if (rng() % 10 == 0) store.pre_fail(i);
+      for (int op = 0; op < 3000; ++op) {
+        const NodeId i = node(rng);
+        switch (kind(rng)) {
+          case 0: store.activate(i, op); break;
+          case 1: store.complete(i, op); break;
+          case 2: store.kill(i); break;
+          case 3: store.revive(i, {}); break;
+          default: store.mark_colored(i, op); break;
+        }
+        if (op % 101 == 0) expect_bitmaps_mirror(store, seed, op);
+      }
+      expect_bitmaps_mirror(store, seed, 3000);
+    }
+  }
 }
 
 }  // namespace

@@ -126,6 +126,19 @@ TEST(Scenarios, ReportedLatencyPicksTheRightMetric) {
   EXPECT_EQ(reported_latency_us(Algo::kCcg, agg, half_us), 10.0);
   EXPECT_EQ(reported_latency_us(Algo::kSbrb, agg, half_us), 5.0);
   EXPECT_EQ(reported_latency_us(Algo::kBfb, agg, half_us), 15.0);
+  // cgsim prints the percentiles of this sample beside its mean, so the
+  // sample is the one the mean averages.
+  EXPECT_EQ(&reported_latency_sample(Algo::kCcg, agg), &agg.t_complete);
+  EXPECT_EQ(&reported_latency_sample(Algo::kSbrb, agg), &agg.t_last_colored);
+  EXPECT_EQ(&reported_latency_sample(Algo::kBig, agg), &agg.t_last_colored);
+  EXPECT_EQ(&reported_latency_sample(Algo::kOpt, agg), &agg.t_last_colored);
+  EXPECT_EQ(&reported_latency_sample(Algo::kBfb, agg), &agg.t_root_complete);
+  for (const Algo a : {Algo::kGos, Algo::kOcg, Algo::kCcg, Algo::kFcg,
+                       Algo::kOcgChain, Algo::kSbrb, Algo::kBig, Algo::kOpt,
+                       Algo::kBfb})
+    EXPECT_DOUBLE_EQ(reported_latency_sample(a, agg).mean(),
+                     reported_latency_steps(a, agg))
+        << algo_name(a);
 }
 
 TEST(Scenarios, LatencyOverNoCompletedTrialIsNotAValue) {
