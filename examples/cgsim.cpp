@@ -79,11 +79,6 @@ bool write_file(const std::string& path, const std::string& content) {
   return std::fclose(f) == 0 && ok;
 }
 
-bool is_gossip_family(cg::Algo a) {
-  return a == cg::Algo::kGos || a == cg::Algo::kOcg || a == cg::Algo::kCcg ||
-         a == cg::Algo::kFcg || a == cg::Algo::kOcgChain;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -92,19 +87,9 @@ int main(int argc, char** argv) {
 
   const std::string algo_s = flags.get_string("algo", "ccg");
   Algo algo;
-  if (algo_s == "gos") algo = Algo::kGos;
-  else if (algo_s == "ocg") algo = Algo::kOcg;
-  else if (algo_s == "ccg") algo = Algo::kCcg;
-  else if (algo_s == "fcg") algo = Algo::kFcg;
-  else if (algo_s == "chain") algo = Algo::kOcgChain;
-  else if (algo_s == "big") algo = Algo::kBig;
-  else if (algo_s == "bfb") algo = Algo::kBfb;
-  else if (algo_s == "opt") algo = Algo::kOpt;
-  else if (algo_s == "sbrb") algo = Algo::kSbrb;
-  else {
-    std::fprintf(stderr,
-                 "unknown --algo=%s (gos|ocg|ccg|fcg|chain|big|bfb|opt|sbrb)\n",
-                 algo_s.c_str());
+  if (!algo_from_flag(algo_s, algo)) {
+    std::fprintf(stderr, "unknown --algo=%s (%s)\n", algo_s.c_str(),
+                 algo_flags_list().c_str());
     return 2;
   }
 
@@ -173,7 +158,7 @@ int main(int argc, char** argv) {
   spec.acfg = tuned.acfg;
   spec.acfg.T = flags.get_int_in("t", spec.acfg.T, 0, kMax);
   spec.acfg.ocg_corr_sends =
-      flags.get_int_in("corr", spec.acfg.ocg_corr_sends, 0, kMax);
+      flags.get_int_in("corr", spec.acfg.ocg_corr_sends, 1, kMax);
   spec.acfg.fcg_f = f;
   spec.acfg.drain_extra = flags.get_int_in("drain-extra", 0, 0, kMax);
   spec.acfg.reliable.enabled = flags.get_bool("reliable", false);
@@ -277,7 +262,7 @@ int main(int argc, char** argv) {
                     sample_out.c_str());
     }
 
-    if (is_gossip_family(algo) && series_stride == 1 && series.steps() > 0) {
+    if (algo_spec(algo).gossip && series_stride == 1 && series.steps() > 0) {
       // Compare against the analytic c(t) over the gossip window only: the
       // recurrence models gossip coloring, and for the corrected variants
       // the tail of the curve is correction work it does not describe.

@@ -128,7 +128,9 @@ int main(int argc, char** argv) {
   cfg.threads =
       static_cast<int>(flags.get_int_in("threads", 0, 0, kMaxThreads));
 
-  int byz_count = static_cast<int>(flags.get_int("byz", 0));
+  // Adversaries are distinct nodes: past n - 1 the sampler would give up
+  // silently and place fewer (cgsim reads --byz the same way).
+  int byz_count = static_cast<int>(flags.get_int_in("byz", 0, 0, cfg.n - 1));
   const bool byz_root = flags.get_bool("byz-root", false);
   if (byz_root && byz_count == 0) byz_count = 1;
   ByzMode byz_mode = ByzMode::kEquivocator;

@@ -4,7 +4,7 @@
 # signal, a sanitizer report or any other status.
 #
 #   cmake -DCGSIM=<bin> -DTUNING_ADVISOR=<bin> -DFAILURE_DRILL=<bin>
-#         -P flag_fuzz.cmake
+#         -DTRACE_RING=<bin> -DFAULT_CAMPAIGN=<bin> -P flag_fuzz.cmake
 #
 # --shards and --threads get no valid value above 8: a multi-shard run asks
 # the thread pool for one thread per shard.  2^63 is rejected before any
@@ -25,10 +25,14 @@ set(failure_drill_flags
     n trials seed drop-prob burst-loss burst-mean restart stragglers byz
     heartbeat)
 set(failure_drill_pool_flags threads shards)
+set(trace_ring_flags n t seed corr f)
+set(trace_ring_pool_flags)
+set(fault_campaign_flags n seed trials byz heartbeat)
+set(fault_campaign_pool_flags threads)
 
 set(failures "")
 set(runs 0)
-foreach(prog cgsim tuning_advisor failure_drill)
+foreach(prog cgsim tuning_advisor failure_drill trace_ring fault_campaign)
   string(TOUPPER "${prog}" var)
   set(bin "${${var}}")
   # The sample reservoir is read only when a sample is written.

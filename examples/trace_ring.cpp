@@ -2,8 +2,9 @@
 // small broadcast (N = 10) with full event tracing and print every send,
 // receive, coloring and completion, plus the final per-node outcome.
 //
-//   ./trace_ring [--algo=ocg|ccg|fcg] [--n=10] [--t=2] [--seed=3] [--f=1]
-//                [--corr=6] [--trace-out=<file>]
+//   ./trace_ring [--algo=gos|ocg|ccg|fcg|chain|big|bfb|opt|sbrb] [--n=10]
+//                [--t=4 (OCG: 2)] [--seed=3] [--f=1] [--corr=6]
+//                [--trace-out=<file>]
 //
 // Figure 2 (OCG):  ./trace_ring --algo=ocg --t=2 --corr=6
 // Figure 4 (CCG):  ./trace_ring --algo=ccg --t=4
@@ -13,30 +14,34 @@
 // node, phase-colored slices) for https://ui.perfetto.dev; a *.jsonl path
 // gets the line-delimited JSON form instead.
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 
 #include "common/flags.hpp"
-#include "harness/runner.hpp"
+#include "harness/scenarios.hpp"
 #include "obs/trace_sinks.hpp"
+#include "proto/message.hpp"
 
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
   const std::string algo_s = flags.get_string("algo", "ccg");
+  Algo algo;
+  if (!algo_from_flag(algo_s, algo)) {
+    std::fprintf(stderr, "unknown --algo=%s (%s)\n", algo_s.c_str(),
+                 algo_flags_list().c_str());
+    return 2;
+  }
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   const auto n = flags.get_count("n", 10);
-  const Step T = flags.get_int("t", algo_s == "ocg" ? 2 : 4);
+  const Step T = flags.get_int_in("t", algo == Algo::kOcg ? 2 : 4, 0, kMax);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
-
-  Algo algo = Algo::kCcg;
-  if (algo_s == "ocg") algo = Algo::kOcg;
-  else if (algo_s == "fcg") algo = Algo::kFcg;
-  else if (algo_s == "gos") algo = Algo::kGos;
 
   AlgoConfig acfg;
   acfg.T = T;
-  acfg.ocg_corr_sends = flags.get_int("corr", 6);
-  acfg.fcg_f = static_cast<int>(flags.get_int("f", 1));
+  acfg.ocg_corr_sends = flags.get_int_in("corr", 6, 1, kMax);
+  acfg.fcg_f = static_cast<int>(flags.get_int_in("f", 1, 1, kMaxKnownF));
 
   VectorTrace trace;
   obs::TeeTraceSink tee;

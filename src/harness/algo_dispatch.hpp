@@ -51,8 +51,6 @@ RunMetrics dispatch_algo(Runner&& r, Algo algo, const AlgoConfig& acfg,
       params.T = acfg.T;
       params.f = acfg.fcg_f;
       params.drain_extra = acfg.drain_extra;
-      params.sos_timeout = acfg.fcg_sos_timeout;
-      params.sos_enabled = acfg.fcg_sos_enabled;
       params.reliable = acfg.reliable;
       return r.template run<FcgNode>(params);
     }
@@ -79,7 +77,7 @@ RunMetrics dispatch_algo(Runner&& r, Algo algo, const AlgoConfig& acfg,
     }
     case Algo::kSbrb: {
       SbrbNode::Params params;
-      params.s = sbrb_samples(rcfg.n, acfg.sbrb_eps, acfg.sbrb_byz_frac);
+      params.s = sbrb_samples(rcfg.n, acfg.sbrb_eps, kSbrbByzFrac);
       params.deadline = sbrb_deadline(params.s, rcfg.logp);
       return r.template run<SbrbNode>(params);
     }

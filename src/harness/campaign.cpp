@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "harness/scenarios.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
@@ -380,35 +381,19 @@ std::vector<FaultScenario> default_fault_scenarios() {
 }
 
 std::vector<CampaignEntry> default_entries(Algo algo, const AlgoConfig& base) {
-  std::vector<CampaignEntry> v;
-  CampaignEntry plain;
-  plain.label = algo_name(algo);
-  plain.algo = algo;
-  plain.acfg = base;
+  const AlgoSpec& spec = algo_spec(algo);
+  // The plain entry only observes: loss voids CCG's and FCG's claims
+  // unhardened, and the stock grid asserts nothing for the others.
+  CampaignEntry plain{spec.name, algo, base, Guarantee::kNone};
   plain.acfg.reliable.enabled = false;
-
-  CampaignEntry hard = plain;
-  hard.label = std::string(algo_name(algo)) + "+rel";
-  hard.acfg.reliable.enabled = true;
-
-  switch (algo) {
-    case Algo::kCcg:
-      plain.guarantee = Guarantee::kNone;  // loss voids Claim 3 unhardened
-      hard.guarantee = Guarantee::kAllReached;
-      v.push_back(plain);
-      v.push_back(hard);
-      break;
-    case Algo::kFcg:
-      plain.guarantee = Guarantee::kNone;
-      hard.guarantee = Guarantee::kSosConsistent;
-      v.push_back(plain);
-      v.push_back(hard);
-      break;
-    default:
-      // No hardened variant: the sublayer only covers correction/SOS tags.
-      plain.guarantee = Guarantee::kNone;
-      v.push_back(plain);
-      break;
+  std::vector<CampaignEntry> v{plain};
+  // The sublayer only covers correction/SOS tags: only the algorithms that
+  // carry them get a hardened variant, claiming their guarantee.
+  if (spec.reliable) {
+    CampaignEntry hard{std::string(spec.name) + "+rel", algo, base,
+                       spec.guarantee};
+    hard.acfg.reliable.enabled = true;
+    v.push_back(hard);
   }
   return v;
 }
@@ -448,22 +433,11 @@ std::vector<FaultScenario> byzantine_fault_scenarios(NodeId n) {
 std::vector<CampaignEntry> byzantine_entries(const AlgoConfig& ccg,
                                              const AlgoConfig& fcg,
                                              const AlgoConfig& sbrb) {
-  std::vector<CampaignEntry> v;
-  CampaignEntry e;
-  e.label = "CCG";
-  e.algo = Algo::kCcg;
-  e.acfg = ccg;
-  e.guarantee = Guarantee::kConsistent;
-  v.push_back(e);
-  e.label = "FCG";
-  e.algo = Algo::kFcg;
-  e.acfg = fcg;
-  v.push_back(e);
-  e.label = "SBRB";
-  e.algo = Algo::kSbrb;
-  e.acfg = sbrb;
-  v.push_back(e);
-  return v;
+  const auto entry = [](Algo a, const AlgoConfig& acfg) {
+    return CampaignEntry{algo_name(a), a, acfg, Guarantee::kConsistent};
+  };
+  return {entry(Algo::kCcg, ccg), entry(Algo::kFcg, fcg),
+          entry(Algo::kSbrb, sbrb)};
 }
 
 }  // namespace cg

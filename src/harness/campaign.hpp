@@ -39,16 +39,7 @@ struct FaultScenario {
   bool byz_include_root = false;  ///< root equivocation: the strongest attack
 };
 
-/// Which predicate a campaign cell asserts over its aggregate.
-enum class Guarantee : std::uint8_t {
-  kNone,          ///< observation only - always passes
-  kAllReached,    ///< all_colored_trials == trials
-  kAllOrNothing,  ///< all_or_nothing_violations == 0
-  kSosConsistent, ///< all-or-nothing and sos_incomplete_trials == 0
-  kConsistent,    ///< no two correct nodes delivered different payloads
-                  ///< (consistency_violations == 0; the Byzantine-tier claim)
-};
-
+/// Guarantee, the predicate a cell asserts, is declared in runner.hpp.
 const char* guarantee_name(Guarantee g);
 
 /// An algorithm variant under test, with the guarantee it claims.

@@ -9,21 +9,6 @@
 
 namespace cg {
 
-const char* algo_name(Algo a) {
-  switch (a) {
-    case Algo::kGos: return "GOS";
-    case Algo::kOcg: return "OCG";
-    case Algo::kCcg: return "CCG";
-    case Algo::kFcg: return "FCG";
-    case Algo::kOcgChain: return "OCG-CHAIN";
-    case Algo::kBig: return "BIG";
-    case Algo::kBfb: return "BFB";
-    case Algo::kOpt: return "opt";
-    case Algo::kSbrb: return "SBRB";
-  }
-  return "?";
-}
-
 const char* engine_name(EngineKind k) {
   switch (k) {
     case EngineKind::kStepped: return "stepped";

@@ -23,7 +23,23 @@ enum class Algo : std::uint8_t {
   kSbrb,      ///< sample-based Byzantine reliable broadcast (gossip/sbrb.hpp)
 };
 
+/// Display name ("GOS", "OCG-CHAIN", "opt", ...): AlgoSpec (scenarios.hpp).
 const char* algo_name(Algo a);
+
+/// Which predicate a campaign cell asserts over its aggregate
+/// (harness/campaign.hpp), and the promise each AlgoSpec row records.
+enum class Guarantee : std::uint8_t {
+  kNone,          ///< observation only - always passes
+  kAllReached,    ///< all_colored_trials == trials
+  kAllOrNothing,  ///< all_or_nothing_violations == 0
+  kSosConsistent, ///< all-or-nothing and sos_incomplete_trials == 0
+  kConsistent,    ///< no two correct nodes delivered different payloads
+                  ///< (consistency_violations == 0; the Byzantine-tier claim)
+};
+
+/// The Byzantine fraction SBRB's sample thresholds margin against
+/// (gossip/sbrb.hpp sbrb_samples); tune_for and the run read this one value.
+inline constexpr double kSbrbByzFrac = 0.15;
 
 /// Per-algorithm knobs (fields are used only by the relevant algorithm).
 struct AlgoConfig {
@@ -31,17 +47,13 @@ struct AlgoConfig {
   Step ocg_corr_sends = 0; ///< OCG: correction emissions (K_bar + margin);
                            ///< OCG-CHAIN: the K_bar used to size the horizon
   int fcg_f = 1;           ///< FCG resilience parameter
-  Step fcg_sos_timeout = 0;    ///< 0 = auto
-  bool fcg_sos_enabled = true;
   Step drain_extra = 0;    ///< pad the gossip drain window (OCG/CCG/FCG)
   /// Ack/retransmit hardening of correction/SOS traffic (CCG/FCG only;
   /// see gossip/reliable.hpp).  Off by default.
   ReliableParams reliable;
   /// SBRB: target per-property failure probability eps (samples scale as
-  /// ln(n) + ln(1/eps)) and the Byzantine fraction the thresholds margin
-  /// against.  Used only by Algo::kSbrb.
+  /// ln(n) + ln(1/eps)).  Used only by Algo::kSbrb.
   double sbrb_eps = 1e-3;
-  double sbrb_byz_frac = 0.15;
 };
 
 /// Run one trial; RunConfig supplies N, root, LogP, seed, and failures.

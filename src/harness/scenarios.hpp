@@ -3,7 +3,9 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "common/flags.hpp"
 #include "harness/experiment.hpp"
@@ -28,6 +30,39 @@ struct TunedAlgo {
   Step predicted_latency_steps = 0;  ///< per the respective Eq. (3/4/5)
 };
 
+/// One row per algorithm: every per-algorithm fact the harness and the
+/// drivers read.  The only other per-algorithm code is the node-type
+/// dispatch (harness/algo_dispatch.hpp), so an algorithm is added with one
+/// row here (scenarios.cpp) and one dispatch arm there.
+struct AlgoSpec {
+  Algo algo;
+  const char* name;  ///< display name (algo_name), printed by the drivers
+  const char* flag;  ///< the drivers' --algo spelling
+  /// tune_for's pipeline: set the knobs from the analytic models and
+  /// return the predicted latency in steps.
+  Step (*tune)(AlgoConfig& acfg, NodeId N, NodeId n_active, const LogP& logp,
+               double eps, int f);
+  /// The per-trial latency sample the paper reports (see
+  /// reported_latency_sample).
+  Samples TrialAggregate::*latency;
+  /// What the algorithm promises; default_entries' "+rel" entry claims it.
+  Guarantee guarantee = Guarantee::kNone;
+  bool reliable = false;  ///< honours AlgoConfig::reliable (CCG and FCG)
+  bool gossip = false;    ///< the analytic c(t) models its gossip phase
+};
+
+/// Every row, in Algo enum order.
+std::span<const AlgoSpec> algo_specs();
+const AlgoSpec& algo_spec(Algo a);
+
+/// Parse an --algo spelling into `out`.  Returns false (leaving `out`
+/// untouched) on an unknown name.
+bool algo_from_flag(std::string_view flag, Algo& out);
+
+/// The accepted --algo spellings in enum order, '|'-separated
+/// ("gos|ocg|...|sbrb"), for usage/error text.
+std::string algo_flags_list();
+
 /// Reproduce the paper's tuning pipeline: pick T (and OCG's C) from the
 /// analytic models, including the recommended +O margins.  `f` is FCG's
 /// resilience parameter.
@@ -36,8 +71,8 @@ TunedAlgo tune_for(Algo algo, NodeId N, NodeId n_active, const LogP& logp,
 
 /// The per-trial latency sample the paper reports for this algorithm, in
 /// steps: completion for the gossip family, last coloring for SBRB/BIG/
-/// opt, ack-to-root for BFB.  Its mean and its percentiles describe the
-/// same quantity.
+/// opt, ack-to-root for BFB (AlgoSpec::latency).  Its mean and its
+/// percentiles describe the same quantity.
 const Samples& reported_latency_sample(Algo algo, const TrialAggregate& agg);
 
 /// Simulated latency the paper reports for this algorithm, in

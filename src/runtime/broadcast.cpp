@@ -3,11 +3,7 @@
 #include <cstdio>
 
 #include "common/check.hpp"
-#include "gossip/ccg.hpp"
-#include "gossip/fcg.hpp"
-#include "gossip/ocg.hpp"
 #include "runtime/thread_pool.hpp"
-#include "sim/sharded_engine.hpp"
 
 namespace cg {
 
@@ -42,32 +38,8 @@ BroadcastReport reliable_broadcast(const BroadcastOptions& opts,
   rcfg.seed = seed;
   rcfg.failures = opts.failures;
 
-  RunMetrics m;
-  switch (algo) {
-    case Algo::kOcg: {
-      OcgNode::Params p;
-      p.T = tuned.acfg.T;
-      p.corr_sends = tuned.acfg.ocg_corr_sends;
-      ShardedEngine<OcgNode> eng(rcfg, p, threads);
-      m = eng.run();
-      break;
-    }
-    case Algo::kCcg: {
-      CcgNode::Params p;
-      p.T = tuned.acfg.T;
-      ShardedEngine<CcgNode> eng(rcfg, p, threads);
-      m = eng.run();
-      break;
-    }
-    default: {
-      FcgNode::Params p;
-      p.T = tuned.acfg.T;
-      p.f = opts.f;
-      ShardedEngine<FcgNode> eng(rcfg, p, threads);
-      m = eng.run();
-      break;
-    }
-  }
+  const RunMetrics m =
+      run_once(algo, tuned.acfg, rcfg, {EngineKind::kSharded, threads});
 
   BroadcastReport rep;
   rep.algo = algo;

@@ -160,8 +160,12 @@ class SoaNodeStore {
            rng_.capacity() * sizeof(Xoshiro256) +
            active_.footprint_bytes() + colored_.footprint_bytes() +
            sbrb_pending_.footprint_bytes() +
+           // NodeStateStore's arrays: alive, state and byzantine bytes, held
+           // and delivered payloads, four timestamps (pinned to its own
+           // footprint_bytes() by the SoaNodeStore tests).
            static_cast<std::size_t>(life_.n()) *
-               (2 * sizeof(std::uint8_t) + 4 * sizeof(Step));
+               (3 * sizeof(std::uint8_t) + 2 * sizeof(std::uint32_t) +
+                4 * sizeof(Step));
   }
 
  private:

@@ -268,10 +268,7 @@ TEST(ByzantineParity, HundredSeedTraceByteParity) {
     acfg.T = 30;
     acfg.drain_extra = 2;
     if (algo == Algo::kFcg) acfg.fcg_f = 2;
-    if (algo == Algo::kSbrb) {
-      acfg.sbrb_eps = 1e-3;
-      acfg.sbrb_byz_frac = 0.15;
-    }
+    if (algo == Algo::kSbrb) acfg.sbrb_eps = 1e-3;
 
     auto canonical_jsonl = [&](EngineKind kind, int threads) {
       VectorTrace trace;

@@ -439,6 +439,22 @@ void expect_bitmaps_mirror(const SoaNodeStore<PlainNode>& store,
   EXPECT_EQ(store.colored_bits().count_in(0, store.n()), colored);
 }
 
+TEST(SoaNodeStore, FootprintCountsEveryLifecycleArray) {
+  // bytes_per_node must count every per-node array: what is left after the
+  // slab, the RNG streams and the bitmaps is exactly the lifecycle store.
+  for (const NodeId n : {1, 64, 1000}) {
+    SoaNodeStore<PlainNode> store;
+    store.reset(n, 7, {});
+    const auto sz = static_cast<std::size_t>(n);
+    const std::size_t rest = store.footprint_bytes() -
+                             sz * (sizeof(PlainNode) + sizeof(Xoshiro256)) -
+                             store.active_bits().footprint_bytes() -
+                             store.colored_bits().footprint_bytes() -
+                             store.sbrb_pending_bits().footprint_bytes();
+    EXPECT_EQ(rest, store.life().footprint_bytes()) << "n " << n;
+  }
+}
+
 TEST(SoaNodeStore, BitmapsMirrorLifecycleUnderRandomTransitions) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     std::mt19937_64 rng(seed);

@@ -405,6 +405,26 @@ TEST(Campaign, RunsGridChecksGuaranteesAndSerializes) {
   EXPECT_NE(json.find("\"work_retrans\""), std::string::npos);
 }
 
+TEST(Campaign, DefaultEntriesClaimTheTableGuarantee) {
+  AlgoConfig acfg;
+  acfg.T = 10;
+  const auto fcg = default_entries(Algo::kFcg, acfg);
+  ASSERT_EQ(fcg.size(), 2u);  // plain + "+rel"
+  EXPECT_EQ(fcg[0].label, "FCG");
+  EXPECT_EQ(fcg[0].guarantee, Guarantee::kNone);
+  EXPECT_FALSE(fcg[0].acfg.reliable.enabled);
+  EXPECT_EQ(fcg[1].label, "FCG+rel");
+  EXPECT_EQ(fcg[1].guarantee, Guarantee::kSosConsistent);
+  EXPECT_TRUE(fcg[1].acfg.reliable.enabled);
+
+  // SBRB ignores the reliable sublayer: one observing entry only.
+  const auto sbrb = default_entries(Algo::kSbrb, acfg);
+  ASSERT_EQ(sbrb.size(), 1u);
+  EXPECT_EQ(sbrb[0].label, "SBRB");
+  EXPECT_EQ(sbrb[0].algo, Algo::kSbrb);
+  EXPECT_EQ(sbrb[0].guarantee, Guarantee::kNone);
+}
+
 TEST(Campaign, StockGridIsWellFormed) {
   const auto scenarios = default_fault_scenarios();
   ASSERT_GE(scenarios.size(), 8u);

@@ -2,6 +2,8 @@
 // sampling, and the scenario pipeline.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "common/table.hpp"
 #include "harness/experiment.hpp"
 #include "harness/scenarios.hpp"
@@ -139,6 +141,52 @@ TEST(Scenarios, ReportedLatencyPicksTheRightMetric) {
     EXPECT_DOUBLE_EQ(reported_latency_sample(a, agg).mean(),
                      reported_latency_steps(a, agg))
         << algo_name(a);
+}
+
+TEST(AlgoSpec, EveryAlgoHasOneRow) {
+  // The names appear in every driver's stdout and must not move; the
+  // guarantee is what default_entries' "+rel" entry claims; gossip picks
+  // the algorithms cgsim checks against the analytic c(t).
+  struct Want {
+    Algo algo;
+    const char* name;
+    Guarantee guarantee;
+    bool reliable;
+    bool gossip;
+  };
+  const Want want[] = {
+      {Algo::kGos, "GOS", Guarantee::kNone, false, true},
+      {Algo::kOcg, "OCG", Guarantee::kNone, false, true},
+      {Algo::kCcg, "CCG", Guarantee::kAllReached, true, true},
+      {Algo::kFcg, "FCG", Guarantee::kSosConsistent, true, true},
+      {Algo::kOcgChain, "OCG-CHAIN", Guarantee::kNone, false, true},
+      {Algo::kBig, "BIG", Guarantee::kNone, false, false},
+      {Algo::kBfb, "BFB", Guarantee::kNone, false, false},
+      {Algo::kOpt, "opt", Guarantee::kNone, false, false},
+      {Algo::kSbrb, "SBRB", Guarantee::kConsistent, false, false},
+  };
+  ASSERT_EQ(algo_specs().size(), std::size(want));
+  for (const Want& w : want) {
+    int rows = 0;
+    for (const AlgoSpec& spec : algo_specs()) rows += spec.algo == w.algo;
+    EXPECT_EQ(rows, 1) << w.name;
+    const AlgoSpec& spec = algo_spec(w.algo);
+    EXPECT_EQ(spec.algo, w.algo) << w.name;
+    EXPECT_STREQ(spec.name, w.name);
+    EXPECT_STREQ(algo_name(w.algo), w.name);
+    EXPECT_EQ(spec.guarantee, w.guarantee) << w.name;
+    EXPECT_EQ(spec.reliable, w.reliable) << w.name;
+    EXPECT_EQ(spec.gossip, w.gossip) << w.name;
+    Algo parsed = Algo::kGos;
+    EXPECT_TRUE(algo_from_flag(spec.flag, parsed)) << spec.flag;
+    EXPECT_EQ(parsed, w.algo) << spec.flag;
+  }
+  Algo untouched = Algo::kBfb;
+  EXPECT_FALSE(algo_from_flag("bogus", untouched));
+  EXPECT_FALSE(algo_from_flag("", untouched));
+  EXPECT_FALSE(algo_from_flag("CCG", untouched));  // the name is not a flag
+  EXPECT_EQ(untouched, Algo::kBfb);
+  EXPECT_EQ(algo_flags_list(), "gos|ocg|ccg|fcg|chain|big|bfb|opt|sbrb");
 }
 
 TEST(Scenarios, LatencyOverNoCompletedTrialIsNotAValue) {

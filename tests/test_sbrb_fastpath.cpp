@@ -154,10 +154,9 @@ TEST(SbrbFastPath, HundredSeedRefVsFastByteParity) {
     acfg.T = 30;
     acfg.drain_extra = 2;
     acfg.sbrb_eps = 1e-3;
-    acfg.sbrb_byz_frac = 0.15;
 
     SbrbNode::Params params;
-    params.s = sbrb_samples(cfg.n, acfg.sbrb_eps, acfg.sbrb_byz_frac);
+    params.s = sbrb_samples(cfg.n, acfg.sbrb_eps, kSbrbByzFrac);
     params.deadline = sbrb_deadline(params.s, cfg.logp);
 
     SCOPED_TRACE("seed=" + std::to_string(seed) +
@@ -239,7 +238,6 @@ TEST(SbrbFastPath, ShardedKernelProfileMatchesStepped) {
   cfg.seed = 4242;
   AlgoConfig acfg;
   acfg.sbrb_eps = 1e-3;
-  acfg.sbrb_byz_frac = 0.1;
 
   struct Observed {
     EngineProfile prof;

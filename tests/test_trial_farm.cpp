@@ -316,7 +316,6 @@ TEST(TrialFarm, SbrbWorkspaceZeroAllocSteadyState) {
   TrialSpec spec = clean_spec();
   spec.algo = Algo::kSbrb;
   spec.acfg.sbrb_eps = 1e-3;
-  spec.acfg.sbrb_byz_frac = 0.1;
   TrialWorkspace ws;
   for (int t = 0; t < 32; ++t) ws.run(spec, t);
   const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
