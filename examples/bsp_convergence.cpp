@@ -12,6 +12,7 @@
 //   ./bsp_convergence [--n=256] [--tol=1000] [--seed=5]
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "analysis/tuning.hpp"
@@ -23,7 +24,10 @@ int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
   const auto n = flags.get_count("n", 256);
-  const std::int64_t tol = flags.get_int("tol", 1000);
+  // A node stops once its residual is below tol; residuals never go
+  // negative, so tol <= 0 could never converge.
+  const std::int64_t tol = flags.get_int_in(
+      "tol", 1000, 1, std::numeric_limits<std::int64_t>::max());
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
   const LogP logp = LogP::piz_daint();
   const double eps = 1e-5;

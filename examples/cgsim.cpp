@@ -137,6 +137,15 @@ int main(int argc, char** argv) {
   }
   spec.pre_failures = pre;
   spec.online_failures = online;
+  if (spec.byz_count > max_byzantine(spec)) {
+    std::fprintf(stderr,
+                 "--byz=%d: at most %d Byzantine nodes fit in --n=%d beside "
+                 "the root and the %d nodes --pre-fail, --online-fail and "
+                 "--restart crash\n",
+                 spec.byz_count, max_byzantine(spec), n,
+                 pre + online + spec.restarts);
+    return 2;
+  }
   const std::string rx_s = flags.get_string("rx", "drain");
   if (rx_s != "drain" && rx_s != "one") {
     std::fprintf(stderr, "unknown --rx=%s (drain, one)\n", rx_s.c_str());

@@ -67,6 +67,21 @@ int main(int argc, char** argv) {
                  byz_mode_names_list());
     return 2;
   }
+  {
+    // The adversaries must fit beside the drill's worst cell.
+    TrialSpec worst;
+    worst.n = n;
+    worst.online_failures = kMaxCrashes;
+    worst.restarts = restarts;
+    worst.byz_include_root = byz_root;
+    if (byz_count > max_byzantine(worst)) {
+      std::fprintf(stderr,
+                   "--byz=%d: at most %d Byzantine nodes fit in --n=%d beside "
+                   "the root, the drill's %d online crashes and --restart=%d\n",
+                   byz_count, max_byzantine(worst), n, kMaxCrashes, restarts);
+      return 2;
+    }
+  }
   ExecConfig exec;
   const std::string engine_s = flags.get_string("engine", "stepped");
   if (!engine_from_name(engine_s, exec.engine)) {

@@ -168,6 +168,19 @@ int main(int argc, char** argv) {
     }
   }
 
+  for (const auto& s : scenarios) {
+    const TrialSpec spec = campaign_trial_spec(cfg, s, entries.front());
+    if (spec.byz_count > 0 && spec.byz_count > max_byzantine(spec)) {
+      std::fprintf(stderr,
+                   "%s: scenario %s places %d Byzantine nodes, but at most %d "
+                   "fit in --n=%d beside the root and its %d crashing nodes\n",
+                   byz_grid ? "--byz-grid" : "--byz", s.name.c_str(),
+                   spec.byz_count, max_byzantine(spec), cfg.n,
+                   spec.pre_failures + spec.online_failures + spec.restarts);
+      return 2;
+    }
+  }
+
   const std::string replay = flags.get_string("replay", "");
   if (!replay.empty())
     return replay_trial(cfg, scenarios, entries, replay,

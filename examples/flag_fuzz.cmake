@@ -4,7 +4,8 @@
 # signal, a sanitizer report or any other status.
 #
 #   cmake -DCGSIM=<bin> -DTUNING_ADVISOR=<bin> -DFAILURE_DRILL=<bin>
-#         -DTRACE_RING=<bin> -DFAULT_CAMPAIGN=<bin> -P flag_fuzz.cmake
+#         -DTRACE_RING=<bin> -DFAULT_CAMPAIGN=<bin> -DMEMBERSHIP_MONITOR=<bin>
+#         -DBSP_CONVERGENCE=<bin> -DQUICKSTART=<bin> -P flag_fuzz.cmake
 #
 # --shards and --threads get no valid value above 8: a multi-shard run asks
 # the thread pool for one thread per shard.  2^63 is rejected before any
@@ -29,10 +30,17 @@ set(trace_ring_flags n t seed corr f)
 set(trace_ring_pool_flags)
 set(fault_campaign_flags n seed trials byz heartbeat)
 set(fault_campaign_pool_flags threads)
+set(membership_monitor_flags n rounds seed)
+set(membership_monitor_pool_flags)
+set(bsp_convergence_flags n tol seed)
+set(bsp_convergence_pool_flags)
+set(quickstart_flags n seed)
+set(quickstart_pool_flags threads)
 
 set(failures "")
 set(runs 0)
-foreach(prog cgsim tuning_advisor failure_drill trace_ring fault_campaign)
+foreach(prog cgsim tuning_advisor failure_drill trace_ring fault_campaign
+             membership_monitor bsp_convergence quickstart)
   string(TOUPPER "${prog}" var)
   set(bin "${${var}}")
   # The sample reservoir is read only when a sample is written.

@@ -146,6 +146,8 @@ class CcgNode {
   Step nearest_fwd() const { return m_fwd_; }
   Step nearest_bwd() const { return m_bwd_; }
   const ReliableLink& reliable() const { return rel_; }
+  /// Heap this node owns (EngineProfile::bytes_per_node).
+  std::size_t heap_bytes() const { return rel_.heap_bytes(); }
 
  private:
   /// Protocol wants to exit; with the sublayer on, hold the node until it

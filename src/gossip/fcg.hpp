@@ -66,6 +66,7 @@ class KnownGNodes {
   int size() const { return static_cast<int>(ids_.size()); }
   NodeId at(int i) const { return ids_[static_cast<std::size_t>(i)]; }
   std::span<const NodeId> ids() const { return ids_; }
+  std::size_t heap_bytes() const { return ids_.capacity() * sizeof(NodeId); }
 
   /// Distance to the i-th nearest known g-node (kNever if unknown).
   Step dist_at(int i) const {
@@ -277,6 +278,11 @@ class FcgNode {
   bool in_sos() const { return sos_mode_; }
   const KnownGNodes& known(Dir d) const { return known_[idx(d)]; }
   const ReliableLink& reliable() const { return rel_; }
+  /// Heap this node owns (EngineProfile::bytes_per_node).
+  std::size_t heap_bytes() const {
+    return known_[0].heap_bytes() + known_[1].heap_bytes() +
+           cnode_known_.capacity() * sizeof(NodeId) + rel_.heap_bytes();
+  }
 
  private:
   static int idx(Dir d) { return static_cast<int>(d); }

@@ -110,6 +110,19 @@ class ReliableLink {
 
   std::int64_t abandoned() const { return st_ ? st_->abandoned : 0; }
 
+  /// Heap the sublayer holds: its State, the vectors' capacities and the
+  /// dedup filter (0 when disabled).
+  std::size_t heap_bytes() const {
+    if (!st_) return 0;
+    return sizeof(State) + st_->pending.capacity() * sizeof(Pending) +
+           st_->ack_queue.capacity() * sizeof(OwedAck) +
+           st_->last_seq_v.capacity() *
+               sizeof(std::pair<NodeId, std::uint64_t>) +
+           st_->ack_owed_v.capacity() *
+               sizeof(std::pair<NodeId, std::uint8_t>) +
+           st_->seen.heap_bytes();
+  }
+
   /// Send `m` to `to` with delivery tracking (consumes this step's slot).
   /// With the sublayer disabled this is a plain ctx.send().
   template <class Ctx>

@@ -32,11 +32,13 @@
 // delivers, which is the consistent outcome).
 //
 // Engine contract: nodes self-activate in on_start and dribble all
-// traffic one message per tick through two FIFO queues (urgent:
-// gossip/echo/ready; bulk: sample subscriptions), so the SendGate's
-// one-emission-per-step invariant holds on every engine.  Completion is a
-// fixed deadline step - reached whether or not delivery happened - so
-// runs terminate without a global convergence detector.
+// traffic one message per tick, so the SendGate's one-emission-per-step
+// invariant holds on every engine.  Nothing is copied into a send queue:
+// sample subscriptions are a cursor into the node's own samples, and
+// gossip/echo/Ready traffic is a few run descriptors over its subscriber
+// list (SbrbNode's "staged sends" below).  Completion is a fixed deadline
+// step - reached whether or not delivery happened - so runs terminate
+// without a global convergence detector.
 //
 // Sample-generation determinism (docs/PERF.md §7): samples are computed
 // by a splitmix64 stream keyed on (run seed, node, phase) via
@@ -46,8 +48,8 @@
 // position agree.
 //
 // SbrbNode is the production fast path: sorted flat sample arrays with
-// binary-search membership, dense per-candidate counters, compact
-// reusable send-staging slabs (zero-alloc steady state), and the
+// binary-search membership, dense per-candidate counters, cursor-staged
+// sends (no per-message storage; zero-alloc steady state), and the
 // staged-send kernel contract the sharded engine batches on.  Its oracle
 // is SbrbRefNode in tests/reference_sbrb.hpp - the stock Protocol-API
 // implementation (linear scans, heap-allocated queues) sharing only
@@ -196,10 +198,10 @@ class SbrbNode {
   }
 
   /// Capacity-preserving reset to the freshly-constructed state.  The
-  /// engines' trial-reuse paths (Engine::run_impl, SoaNodeStore::reset,
-  /// restart revival) detect this method and call it instead of
-  /// re-emplacing the node, which is what makes steady-state SBRB trials
-  /// allocation-free (tests/test_trial_farm.cpp).
+  /// engines' trial-reuse paths (SoaNodeStore::reset, restart revival)
+  /// detect this method and call it instead of re-emplacing the node,
+  /// which is what makes steady-state SBRB trials allocation-free
+  /// (tests/test_trial_farm.cpp).
   void reset_for_run(const Params& p, NodeId self, NodeId n) {
     p_ = p;
     self_ = self;
@@ -211,12 +213,23 @@ class SbrbNode {
     r_off_ = 0;
     d_off_ = 0;
     s_end_ = 0;
-    echo_subs_.clear();
-    ready_subs_.clear();
-    urgent_.items.clear();
-    urgent_.head = 0;
-    bulk_.items.clear();
-    bulk_.head = 0;
+    sub_next_ = 0;
+    sub_skip_ = 0;
+    subs_.clear();
+    // A revived node keeps its trial RNG stream, from which the reference
+    // drew every staged gossip target at staging time: targets staged but
+    // never sent are owed to the stream (on_start clears the debt, since a
+    // new run reseeds the stream).
+    gossip_owed_ = static_cast<std::uint8_t>(gossip_owed_ + gossip_left_);
+    gossip_left_ = 0;
+    run_ = kRunIdle;
+    at_pos_ = 0;
+    run_end_ = 0;
+    at_ev_ = 0;
+    at_k_ = 0;
+    run_mask_ = 0;
+    run_colored_ = false;
+    n_ev_ = 0;
     for (int k = 0; k < n_cands_; ++k) cands_[k] = Cand{};
     n_cands_ = 0;
     candidate_ = 0;
@@ -227,20 +240,8 @@ class SbrbNode {
   template <class Ctx>
   void on_start(Ctx& ctx) {
     ctx.activate();  // every node subscribes, so every node participates
+    gossip_owed_ = 0;
     draw_samples(ctx.seed());
-    // Subscriptions ride the bulk queue: payload traffic (urgent queue)
-    // preempts them, so a late subscription only delays feedback, never
-    // dissemination.
-    for (int i = 0; i < r_off_; ++i)
-      queue(bulk_, samples_[static_cast<std::size_t>(i)], Tag::kSbrbSubEcho, 0);
-    for (int i = r_off_; i < d_off_; ++i)
-      queue(bulk_, samples_[static_cast<std::size_t>(i)], Tag::kSbrbSubReady,
-            0);
-    for (int i = d_off_; i < s_end_; ++i) {
-      const NodeId t = samples_[static_cast<std::size_t>(i)];
-      if (rank_in(r_off_, d_off_, t) < 0)
-        queue(bulk_, t, Tag::kSbrbSubReady, 0);
-    }
     if (ctx.is_root()) {
       candidate_ = kTruePayload;
       ctx.mark_colored();
@@ -250,7 +251,7 @@ class SbrbNode {
         ctx.complete();
         return;
       }
-      queue_gossip(ctx);
+      stage_event(ctx, kEvColored);
     }
   }
 
@@ -262,8 +263,10 @@ class SbrbNode {
     if (m.payload != 0 && !payload_signed(m.payload)) return;
     switch (m.tag) {
       case Tag::kGossip: on_gossip(ctx, m); break;
-      case Tag::kSbrbSubEcho: on_sub_echo(ctx, m.src); break;
-      case Tag::kSbrbSubReady: on_sub_ready(ctx, m.src); break;
+      case Tag::kSbrbSubEcho: on_sub(static_cast<std::uint32_t>(m.src)); break;
+      case Tag::kSbrbSubReady:
+        on_sub(static_cast<std::uint32_t>(m.src) | kReadySub);
+        break;
       case Tag::kSbrbEcho: on_echo(ctx, m.src, m.payload); break;
       case Tag::kSbrbReady: on_ready(ctx, m.src, m.payload); break;
       default: break;  // foreign traffic (cross-protocol tests) ignored
@@ -278,7 +281,7 @@ class SbrbNode {
       return;
     }
     if (sbrb_idle()) return;
-    const auto [to, m] = sbrb_pop_staged(now);
+    const auto [to, m] = sbrb_pop_staged(now, ctx.rng());
     ctx.send(to, m);
   }
 
@@ -287,23 +290,48 @@ class SbrbNode {
   // tick sweep with a sweep over the dense pending-sends bitmap: nodes
   // with nothing staged cost nothing per step.  The contract relies on
   // the protocol properties above: all activation happens in on_start,
-  // a tick before the deadline emits exactly the front staged message,
+  // a tick before the deadline emits exactly the next staged message,
   // and completion happens only at the deadline tick.
 
   /// Nothing staged: a pre-deadline tick would be a no-op.
-  bool sbrb_idle() const { return empty(urgent_) && empty(bulk_); }
+  bool sbrb_idle() const { return run_ == kRunIdle && sub_next_ >= s_end_; }
 
-  /// Pop the next staged message exactly as a pre-deadline on_tick would
-  /// (urgent before bulk), materializing the wire Message.  Requires
-  /// !sbrb_idle().
-  std::pair<NodeId, Message> sbrb_pop_staged(Step now) {
-    auto& q = !empty(urgent_) ? urgent_ : bulk_;
-    const Staged st = q.items[q.head++];
+  /// Send the next staged message exactly as a pre-deadline on_tick would
+  /// (urgent traffic before subscriptions), materializing the wire
+  /// Message.  `rng` is the node's trial stream: gossip targets are drawn
+  /// from it here, in the order the reference draws them when staging.
+  /// Requires !sbrb_idle().
+  std::pair<NodeId, Message> sbrb_pop_staged(Step now, Xoshiro256& rng) {
     Message m;
-    m.tag = st.tag;
-    m.payload = st.payload;
     m.time = now;
-    return {st.to, m};
+    NodeId to;
+    if (run_ == kRunIdle) {  // subscriptions: the bulk cursor
+      to = samples_[sub_next_];
+      m.tag = sub_next_ < r_off_ ? Tag::kSbrbSubEcho : Tag::kSbrbSubReady;
+      ++sub_next_;
+      skip_subs();
+      return {to, m};
+    }
+    if (run_ == kRunGossip) {
+      --gossip_left_;
+      to = rng.other_node(self_, n_);
+      m.tag = Tag::kGossip;
+      m.payload = candidate_;
+    } else {
+      const std::uint32_t s = subs_[at_pos_];
+      to = static_cast<NodeId>(s & ~kReadySub);
+      if ((s & kReadySub) == 0) {
+        m.tag = Tag::kSbrbEcho;
+        m.payload = candidate_;
+        ++at_pos_;
+      } else {
+        m.tag = Tag::kSbrbReady;
+        m.payload = cands_[at_k_].digest;
+        ++at_k_;  // a subscriber may be owed one Ready per candidate
+      }
+    }
+    settle();
+    return {to, m};
   }
 
   /// Prefetch hints for the sharded engine's software-pipelined loops.
@@ -322,10 +350,8 @@ class SbrbNode {
         __builtin_prefetch(d + d_off_);
         break;
       case Tag::kSbrbSubEcho:
-        __builtin_prefetch(echo_subs_.data());
-        break;
       case Tag::kSbrbSubReady:
-        __builtin_prefetch(ready_subs_.data());
+        __builtin_prefetch(subs_.data());
         break;
       default:  // kGossip reads only the header line
         break;
@@ -333,10 +359,19 @@ class SbrbNode {
   }
 
   /// Companion hint for the staged-send sweep: the pop's dependent line is
-  /// the front of whichever queue is up next.
+  /// the subscriber or sample entry under the cursor.
   void sbrb_prefetch_pop() const {
-    const auto& q = !empty(urgent_) ? urgent_ : bulk_;
-    if (q.head < q.items.size()) __builtin_prefetch(q.items.data() + q.head);
+    if (run_ == kRunIdle) {
+      if (sub_next_ < s_end_) __builtin_prefetch(samples_.data() + sub_next_);
+    } else if (run_ != kRunGossip) {
+      __builtin_prefetch(subs_.data() + at_pos_);
+    }
+  }
+
+  /// Heap this node owns, at capacity (EngineProfile::bytes_per_node).
+  std::size_t heap_bytes() const {
+    return samples_.capacity() * sizeof(NodeId) +
+           subs_.capacity() * sizeof(std::uint32_t);
   }
 
   bool colored() const { return candidate_ != 0; }
@@ -363,23 +398,44 @@ class SbrbNode {
   static_assert(sizeof(Cand) == 32);
   static constexpr int kMaxCandidates = 8;
 
-  /// Compact staged send: tag/payload/destination only.  The wire Message
-  /// is materialized at pop time (its `time` field is stamped with the
-  /// send step either way, and `src` is stamped by the engine), so
-  /// staging 12 bytes instead of a 64-byte Message is behavior-neutral.
-  struct Staged {
-    NodeId to;
-    Tag tag;
-    std::uint32_t payload;
+  // --- staged sends ---------------------------------------------------------
+  // The reference stages every message in a FIFO at the moment the
+  // protocol decides to send it; SbrbNode derives the same sequence from
+  // state it keeps anyway.
+  //
+  // Subscriptions (sent only when nothing urgent is staged) are a cursor,
+  // sub_next_, into samples_: the echo segment sends kSbrbSubEcho, the
+  // ready segment kSbrbSubReady, and the delivery segment kSbrbSubReady
+  // except to members of the ready sample (bit per delivery rank in
+  // sub_skip_, computed in on_start).
+  //
+  // Urgent traffic follows the subscriber list subs_, which holds every
+  // subscription in arrival order (kReadySub marks a Ready one).  Each
+  // state change is an EVENT recording subs_.size() at that moment:
+  //   * coloring  - g gossip forwards, then an Echo to every earlier echo
+  //                 subscriber (the echo fan-out);
+  //   * candidate k turns Ready - a Ready(k) to every earlier Ready
+  //                 subscriber.
+  // Between events i and i+1, each new subscription is owed what the
+  // state after event i owes it: an Echo if colored, one Ready per Ready
+  // candidate.  So the FIFO is, per event: its fan-out run over
+  // subs_[0, len_i), then the segment subs_[len_i, len_{i+1}) - at most
+  // 1 + kMaxCandidates events, and no per-message storage.  Both kinds of
+  // run are one walk over subs_ that owes each echo subscriber an Echo
+  // when run_colored_ and each Ready subscriber one Ready per candidate
+  // in run_mask_.  Gossip targets are drawn when sent: only gossip draws
+  // from the node's RNG stream, so the draw order is the reference's.
+  static constexpr std::uint32_t kReadySub = 0x8000'0000u;
+  static constexpr unsigned kEvColored = 8;  ///< event kind; 0-7: Ready(k)
+  static constexpr int kMaxEvents = 1 + kMaxCandidates;
+  static constexpr std::uint32_t kLiveEnd = ~std::uint32_t{0};
+  /// What the urgent cursor is walking.
+  enum Run : std::uint8_t {
+    kRunIdle,     ///< nothing urgent: parked at the live end of subs_
+    kRunGossip,   ///< the coloring event's gossip forwards
+    kRunFanout,   ///< subs_[at_pos_, run_end_) for event at_ev_ ...
+    kRunSegment,  ///< ... then the subscriptions that arrived after it
   };
-  struct SendQ {
-    std::vector<Staged> items;
-    std::size_t head = 0;
-  };
-  static bool empty(const SendQ& q) { return q.head >= q.items.size(); }
-  static void queue(SendQ& q, NodeId to, Tag tag, std::uint32_t payload) {
-    q.items.push_back({to, tag, payload});
-  }
 
   /// Rank of x inside the sorted sample segment [lo, hi) of samples_,
   /// or -1 when absent.  The rank doubles as the candidate-mask bit
@@ -395,22 +451,37 @@ class SbrbNode {
     return r;
   }
 
-  static bool contains(const std::vector<NodeId>& v, NodeId x) {
-    return std::find(v.begin(), v.end(), x) != v.end();
-  }
-
   void draw_samples(std::uint64_t seed) {
-    r_off_ = p_.s.e;
-    d_off_ = r_off_ + p_.s.r;
-    s_end_ = d_off_ + p_.s.d;
-    CG_CHECK(s_end_ <= 3 * kMaxSample);
+    const int r_off = p_.s.e;
+    const int d_off = r_off + p_.s.r;
+    const int s_end = d_off + p_.s.d;
+    CG_CHECK(s_end <= 3 * kMaxSample);
+    r_off_ = static_cast<std::uint8_t>(r_off);
+    d_off_ = static_cast<std::uint8_t>(d_off);
+    s_end_ = static_cast<std::uint8_t>(s_end);
     // Exact-size heap storage: resize() preserves capacity across
     // reset_for_run, so replayed trials stay allocation-free.
-    if (static_cast<int>(samples_.size()) < s_end_)
-      samples_.resize(static_cast<std::size_t>(s_end_));
-    sbrb_fill_sample(seed, self_, n_, 0, p_.s.e, samples_.data());
-    sbrb_fill_sample(seed, self_, n_, 1, p_.s.r, samples_.data() + r_off_);
-    sbrb_fill_sample(seed, self_, n_, 2, p_.s.d, samples_.data() + d_off_);
+    if (static_cast<int>(samples_.size()) < s_end)
+      samples_.resize(static_cast<std::size_t>(s_end));
+    NodeId* const d = samples_.data();
+    sbrb_fill_sample(seed, self_, n_, 0, p_.s.e, d);
+    sbrb_fill_sample(seed, self_, n_, 1, p_.s.r, d + r_off);
+    sbrb_fill_sample(seed, self_, n_, 2, p_.s.d, d + d_off);
+    // Both segments are sorted: one merge pass finds the delivery members
+    // that the ready subscription already covers.
+    int a = r_off;
+    for (int j = d_off; j < s_end; ++j) {
+      while (a < d_off && d[a] < d[j]) ++a;
+      if (a < d_off && d[a] == d[j]) sub_skip_ |= std::uint64_t{1} << (j - d_off);
+    }
+    skip_subs();
+  }
+
+  /// Advance the subscription cursor past skipped delivery members.
+  void skip_subs() {
+    while (sub_next_ < s_end_ && sub_next_ >= d_off_ &&
+           ((sub_skip_ >> (sub_next_ - d_off_)) & 1) != 0)
+      ++sub_next_;
   }
 
   Cand* slot_for(std::uint32_t digest) {
@@ -421,11 +492,85 @@ class SbrbNode {
     return &cands_[n_cands_++];
   }
 
+  /// Record a state change (kEvColored, or k for candidate k turning
+  /// Ready) and, if the cursor was parked, start on its fan-out.
   template <class Ctx>
-  void queue_gossip(Ctx& ctx) {
-    for (int k = 0; k < p_.s.g; ++k)
-      queue(urgent_, ctx.rng().other_node(self_, n_), Tag::kGossip,
-            candidate_);
+  void stage_event(Ctx& ctx, unsigned kind) {
+    const auto len = static_cast<std::uint32_t>(subs_.size());
+    CG_CHECK(n_ev_ < kMaxEvents && len < (std::uint32_t{1} << 28));
+    if (kind == kEvColored) {
+      // Settle the draws a revived node's reference self already made.
+      for (; gossip_owed_ > 0; --gossip_owed_)
+        (void)ctx.rng().other_node(self_, n_);
+      gossip_left_ = static_cast<std::uint8_t>(p_.s.g);
+    }
+    ev_[n_ev_++] = len << 4 | kind;
+    if (run_ == kRunSegment && run_end_ == kLiveEnd) run_end_ = len;
+    if (run_ == kRunIdle) {
+      open_event(n_ev_ - 1);
+      settle();
+    }
+  }
+
+  void open_event(int i) {
+    at_ev_ = static_cast<std::uint8_t>(i);
+    if ((ev_[i] & 0xF) == kEvColored)
+      run_ = kRunGossip;
+    else
+      open_run(kRunFanout);
+  }
+
+  /// Start event at_ev_'s fan-out, or the segment after it with the state
+  /// every event up to it left.
+  void open_run(Run r) {
+    const std::uint32_t ev = ev_[at_ev_];
+    run_ = r;
+    at_k_ = 0;
+    run_colored_ = false;
+    run_mask_ = 0;
+    for (int j = r == kRunFanout ? at_ev_ : 0; j <= at_ev_; ++j) {
+      const unsigned kind = ev_[j] & 0xF;
+      if (kind == kEvColored)
+        run_colored_ = true;
+      else
+        run_mask_ = static_cast<std::uint8_t>(run_mask_ | 1u << kind);
+    }
+    if (r == kRunFanout) {
+      at_pos_ = 0;
+      run_end_ = ev >> 4;
+    } else {
+      at_pos_ = ev >> 4;
+      run_end_ = at_ev_ + 1 < n_ev_ ? ev_[at_ev_ + 1] >> 4 : kLiveEnd;
+    }
+  }
+
+  /// Move the cursor onto the next message owed, or park it (kRunIdle)
+  /// at the live end of subs_ when nothing is.
+  void settle() {
+    while (run_ != kRunIdle) {
+      if (run_ == kRunGossip) {
+        if (gossip_left_ > 0) return;
+        open_run(kRunFanout);
+        continue;
+      }
+      const std::uint32_t end =
+          run_end_ == kLiveEnd ? static_cast<std::uint32_t>(subs_.size())
+                               : run_end_;
+      for (; at_pos_ < end; ++at_pos_, at_k_ = 0) {
+        if ((subs_[at_pos_] & kReadySub) == 0) {
+          if (run_colored_) return;
+        } else if (const unsigned rest = run_mask_ >> at_k_; rest != 0) {
+          at_k_ = static_cast<std::uint8_t>(at_k_ + std::countr_zero(rest));
+          return;
+        }
+      }
+      if (run_ == kRunFanout)
+        open_run(kRunSegment);
+      else if (run_end_ == kLiveEnd)
+        run_ = kRunIdle;
+      else
+        open_event(at_ev_ + 1);
+    }
   }
 
   /// Adopt `digest` as this node's one-and-only candidate: forward it to
@@ -434,9 +579,7 @@ class SbrbNode {
   void become_colored(Ctx& ctx, std::uint32_t digest) {
     candidate_ = digest;
     ctx.mark_colored();
-    queue_gossip(ctx);
-    for (const NodeId s : echo_subs_)
-      queue(urgent_, s, Tag::kSbrbEcho, candidate_);
+    stage_event(ctx, kEvColored);
   }
 
   template <class Ctx>
@@ -445,21 +588,15 @@ class SbrbNode {
     become_colored(ctx, m.payload);
   }
 
-  template <class Ctx>
-  void on_sub_echo(Ctx&, NodeId src) {
-    if (contains(echo_subs_, src)) return;
-    echo_subs_.push_back(src);
-    if (candidate_ != 0)  // late subscriber: replay our echo
-      queue(urgent_, src, Tag::kSbrbEcho, candidate_);
-  }
-
-  template <class Ctx>
-  void on_sub_ready(Ctx&, NodeId src) {
-    if (contains(ready_subs_, src)) return;
-    ready_subs_.push_back(src);
-    for (int k = 0; k < n_cands_; ++k)  // late subscriber: replay Readies
-      if (cands_[k].ready)
-        queue(urgent_, src, Tag::kSbrbReady, cands_[k].digest);
+  /// A node subscribes to our Echo (or Ready) stream: remember it, and
+  /// replay what we already announced (the cursor decides what that is).
+  void on_sub(std::uint32_t key) {
+    if (std::find(subs_.begin(), subs_.end(), key) != subs_.end()) return;
+    subs_.push_back(key);
+    if (run_ == kRunIdle && n_ev_ > 0) {
+      run_ = kRunSegment;  // parked at this entry, in the live segment
+      settle();
+    }
   }
 
   template <class Ctx>
@@ -481,11 +618,10 @@ class SbrbNode {
   }
 
   template <class Ctx>
-  void become_ready(Ctx&, Cand& c) {
+  void become_ready(Ctx& ctx, Cand& c) {
     if (c.ready) return;
     c.ready = true;
-    for (const NodeId s : ready_subs_)
-      queue(urgent_, s, Tag::kSbrbReady, c.digest);
+    stage_event(ctx, static_cast<unsigned>(&c - cands_));
   }
 
   template <class Ctx>
@@ -527,13 +663,16 @@ class SbrbNode {
 
   // Field order is deliberate: a receive's dependent-load chain starts at
   // the node's FIRST line - the samples_ vector header leads, so its data
-  // pointer, the segment offsets, the candidate word and the thresholds
-  // (p_) are all available from one line fill, with the first candidate's
-  // tallies on the adjacent line.  The dispatch loops prefetch exactly
-  // this region a few deliveries ahead, which turns the 2-3 serial misses
-  // per receive of the naive layout into ~one (docs/PERF.md §7).  The
-  // exact-size heap sample array (vs an inline 3*kMaxSample array) also
-  // cuts the per-node footprint ~4x.
+  // pointer, the segment offsets and the candidate word are available
+  // from one line fill, with the thresholds (p_) and the subscriber list
+  // header on the second and the first candidate's tallies on the third.
+  // The dispatch loops prefetch the first two lines a few deliveries
+  // ahead, which turns the 2-3 serial misses per receive of the naive
+  // layout into ~one (docs/PERF.md §7).  The staged-send cursor sits on
+  // the first line too, so a send touches the header lines and the one
+  // sample or subscriber entry it names.  The exact-size heap sample
+  // array (vs an inline 3*kMaxSample array) also cuts the per-node
+  // footprint ~4x.
   //
   // Sorted flat sample storage: samples_[0, r_off_) echo,
   // [r_off_, d_off_) ready, [d_off_, s_end_) delivery.
@@ -542,17 +681,27 @@ class SbrbNode {
   std::uint8_t n_cands_ = 0;
   bool sieve_delivered_ = false;
   bool delivered_ = false;
-  int r_off_ = 0;
-  int d_off_ = 0;
-  int s_end_ = 0;
+  std::uint8_t sub_next_ = 0;  // subscription cursor into samples_
+  std::uint8_t r_off_ = 0;
+  std::uint8_t d_off_ = 0;
+  std::uint8_t s_end_ = 0;
+  Run run_ = kRunIdle;  // urgent cursor: current run ...
   NodeId self_ = 0;
   NodeId n_ = 1;
+  std::uint32_t at_pos_ = 0;   // ... its position in subs_ ...
+  std::uint32_t run_end_ = 0;  // ... and end (kLiveEnd: subs_.size())
+  std::uint8_t at_ev_ = 0;      // event the cursor is in
+  std::uint8_t at_k_ = 0;       // candidate slot of the next Ready
+  std::uint8_t run_mask_ = 0;   // Ready candidates owed per Ready subscriber
+  bool run_colored_ = false;    // an Echo is owed per echo subscriber
+  std::uint8_t n_ev_ = 0;
+  std::uint8_t gossip_left_ = 0;  // gossip forwards not yet sent
+  std::uint8_t gossip_owed_ = 0;  // see reset_for_run
   Params p_;
-  SendQ urgent_;  // gossip forwards, echoes, Readies
-  SendQ bulk_;    // sample subscriptions
+  std::vector<std::uint32_t> subs_;  // subscribers, arrival order
   Cand cands_[kMaxCandidates]{};
-  std::vector<NodeId> echo_subs_;   // who counts OUR echoes
-  std::vector<NodeId> ready_subs_;  // who counts OUR Readies
+  std::uint64_t sub_skip_ = 0;            // see "staged sends"
+  std::uint32_t ev_[kMaxEvents]{};        // len << 4 | kind, in order
 };
 
 }  // namespace cg

@@ -106,6 +106,9 @@ void trial_run_config_into(const TrialSpec& spec, int trial, RunConfig& out) {
   Step horizon = spec.online_horizon;
   if (horizon <= 0) horizon = spec.acfg.T + 4 * spec.logp.delivery_delay() + 32;
 
+  CG_CHECK_MSG(spec.byz_count == 0 || spec.byz_count <= max_byzantine(spec),
+               "more Byzantine nodes requested than fit beside the root and "
+               "the crash/restart sets");
   // One failure RNG stream per trial; draws happen in a fixed order
   // (failures, restarts, stragglers, partition) so adding a later fault
   // class never perturbs an earlier one's schedule for the same seed.
@@ -156,19 +159,23 @@ void trial_run_config_into(const TrialSpec& spec, int trial, RunConfig& out) {
           if (b.node == i) return true;
         return false;
       };
+      // The count fits (checked above), so the rejection loop ends.
       if (spec.byz_include_root && !taken(spec.root))
         rcfg.byzantine.nodes.push_back({spec.root, spec.byz_mode});
-      const std::int64_t max_tries = 64 * static_cast<std::int64_t>(spec.n);
-      for (std::int64_t tries = 0;
-           static_cast<int>(rcfg.byzantine.nodes.size()) < spec.byz_count &&
-           tries < max_tries;
-           ++tries) {
+      while (static_cast<int>(rcfg.byzantine.nodes.size()) < spec.byz_count) {
         const NodeId c = frng.bounded(spec.n);
         if (c == spec.root || taken(c)) continue;
         rcfg.byzantine.nodes.push_back({c, spec.byz_mode});
       }
     }
   }
+}
+
+int max_byzantine(const TrialSpec& spec) {
+  // With root_can_fail the root may be drawn into a crash set instead of
+  // a free node; every placement the bound promises still fits.
+  return spec.n - 1 - spec.pre_failures - spec.online_failures -
+         spec.restarts + (spec.byz_include_root ? 1 : 0);
 }
 
 RunConfig trial_run_config(const TrialSpec& spec, int trial) {

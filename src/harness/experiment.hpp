@@ -114,6 +114,12 @@ struct TrialAggregate {
   }
 };
 
+/// Most Byzantine nodes `spec` can place: they are distinct, never a
+/// pre-failed, online-failing or restarting node, and never the root
+/// unless byz_include_root puts it first.  Drivers reject a larger
+/// byz_count up front; trial_run_config CG_CHECKs it.
+int max_byzantine(const TrialSpec& spec);
+
 /// The exact RunConfig trial #`trial` of `spec` executes with (seed and
 /// failure schedule included).  Lets callers replay a single trial with
 /// extra instrumentation (trace sinks, profiles) attached.

@@ -82,6 +82,11 @@ class BroadcastFilter {
     delivered_ = active_peer.delivered_;
   }
 
+  /// Heap held by the per-root counters.
+  std::size_t heap_bytes() const {
+    return delivered_.capacity() * sizeof(std::uint64_t);
+  }
+
   /// Explicit counter injection (e.g., from a state snapshot).
   void reset_counter(NodeId root, std::uint64_t sequence) {
     delivered_[static_cast<std::size_t>(root)] = sequence;

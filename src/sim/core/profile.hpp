@@ -124,9 +124,11 @@ struct EngineProfile {
 
   // Memory-plan accounting (every engine fills these): bytes of per-run
   // engine state (node slab, RNG streams, lifecycle arrays, calendars,
-  // inboxes) divided by n, the process peak RSS at the end of the run, and
-  // how much of the process's memory the kernel backed with huge pages
-  // then (common/huge_pages.hpp; 0 on a host with THP off).
+  // inboxes, and the heap nodes report through an optional heap_bytes()
+  // hook) divided by n and counted after wall_s stops, the process peak
+  // RSS at the end of the run, and how much of the process's memory the
+  // kernel backed with huge pages then (common/huge_pages.hpp; 0 on a
+  // host with THP off).
   std::int64_t bytes_per_node = 0;
   std::int64_t peak_rss_bytes = 0;
   std::int64_t huge_page_bytes = 0;

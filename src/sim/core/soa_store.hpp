@@ -27,6 +27,7 @@
 // words are owner-disjoint.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 
 #include "common/huge_pages.hpp"
@@ -153,10 +154,15 @@ class SoaNodeStore {
     life_.finalize(m, root, t_end, record_node_detail);
   }
 
-  /// Bytes held by the per-node arrays (memory-plan accounting for
-  /// EngineProfile::bytes_per_node).
+  /// Bytes held by the per-node arrays, plus the heap the nodes own when
+  /// the protocol reports it (memory-plan accounting for
+  /// EngineProfile::bytes_per_node).  Walks every node when it does: call
+  /// it outside timed sections.
   std::size_t footprint_bytes() const {
-    return nodes_.capacity() * sizeof(Node) +
+    std::size_t node_heap = 0;
+    if constexpr (kNodeHeap)
+      for (const Node& nd : nodes_) node_heap += nd.heap_bytes();
+    return node_heap + nodes_.capacity() * sizeof(Node) +
            rng_.capacity() * sizeof(Xoshiro256) +
            active_.footprint_bytes() + colored_.footprint_bytes() +
            sbrb_pending_.footprint_bytes() +
@@ -172,12 +178,16 @@ class SoaNodeStore {
   /// Does the Node support in-place reset (capacity-preserving return to
   /// the freshly constructed state)?  Then trial reruns and restarts reuse
   /// the node objects instead of re-emplacing them - the zero-alloc
-  /// steady state for protocols with internal buffers (SBRB's staging
-  /// queues).
+  /// steady state for protocols with internal buffers (SBRB's samples and
+  /// subscriber list).
   static constexpr bool kNodeReset =
       requires(Node& nd, const Params& p) {
         nd.reset_for_run(p, NodeId{0}, NodeId{2});
       };
+  /// Does the Node report the heap it owns (optional heap_bytes() hook)?
+  static constexpr bool kNodeHeap = requires(const Node& nd) {
+    { nd.heap_bytes() } -> std::convertible_to<std::size_t>;
+  };
 
   NodeStateStore life_;
   PackedBits active_;   // mirrors state == kActive

@@ -59,7 +59,7 @@
 // Dispatch is software-pipelined like the stepped engine's: the drain
 // loop prefetches the receiving node's header six deliveries ahead and
 // the protocol's tag-directed hint (sbrb_prefetch) two ahead, and the
-// SBRB staged-send sweep prefetches the next nodes' queue fronts.
+// SBRB staged-send sweep prefetches the next nodes' send cursors.
 //
 // Crash schedules are applied LAZILY, which is what lets a shard run past
 // global quiescence without rollback: a kill becomes visible the moment
@@ -82,7 +82,9 @@
 // sweep walks the dense pending-sends bitmap (active AND pending) instead
 // of ticking every active node, so idle nodes cost nothing per step while
 // traces and profile counts stay byte-identical to the generic sweep
-// (docs/PERF.md §7).
+// (docs/PERF.md §7).  A pop advances the node's send cursor (its samples
+// and subscriber list; nothing is queued per message) and draws gossip
+// targets from the node's RNG stream, as the protocol's own tick would.
 //
 // Shard workers run on the persistent process-wide cg_pool (ROADMAP item:
 // no per-run std::thread spawns).  One parallel_for spans the whole run -
@@ -191,7 +193,7 @@ class ShardedEngine {
                Step s) {
         { cnd.sbrb_idle() } -> std::convertible_to<bool>;
         {
-          nd.sbrb_pop_staged(s)
+          nd.sbrb_pop_staged(s, std::declval<Xoshiro256&>())
         } -> std::convertible_to<std::pair<NodeId, Message>>;
         { p.deadline } -> std::convertible_to<Step>;
       };
@@ -199,7 +201,7 @@ class ShardedEngine {
   /// Does the protocol expose tag-directed receive prefetch hints?
   static constexpr bool kRxHint =
       requires(const Node& cnd, Tag t) { cnd.sbrb_prefetch(t); };
-  /// ... and a hint for the staged-send pop's queue front?
+  /// ... and a hint for the staged-send pop's cursor entry?
   static constexpr bool kPopHint =
       requires(const Node& cnd) { cnd.sbrb_prefetch_pop(); };
 
@@ -353,8 +355,8 @@ class ShardedEngine {
       // only place a node can stage new sends mid-run.  `to` is shard-
       // owned and blocks are 64-aligned, so the word is owner-disjoint.
       // The bitmap test runs first - it is cache-resident, while
-      // sbrb_idle() touches the node's queue headers, a line the receive
-      // handler often left cold.
+      // sbrb_idle() reads the node's send cursor, a line the receive
+      // handler may have left cold.
       if (!any_crash_ && !soa_.sbrb_pending_bits().test(to) &&
           !soa_.node(to).sbrb_idle())
         soa_.sbrb_set_pending(to);
@@ -581,12 +583,15 @@ void ShardedEngine<Node>::run_window(int sidx, Step win_lo, Step win_hi) {
               soa_.active_bits(), st.lo, st.hi, [&](NodeId i) {
                 // During the dribble phase the pending set is dense, so
                 // the next visited node is almost always i+1: prefetch
-                // i+2's queue headers now, and let i+1 (whose headers
-                // arrived last iteration) prefetch its queue front before
+                // i+2's header lines now, and let i+1 (whose headers
+                // arrived last iteration) prefetch its cursor entry before
                 // we work on i.
-                if (i + 2 < st.hi)
-                  __builtin_prefetch(
-                      reinterpret_cast<const char*>(&soa_.node(i + 2)) + 64);
+                if (i + 2 < st.hi) {
+                  const auto* nxt =
+                      reinterpret_cast<const char*>(&soa_.node(i + 2));
+                  __builtin_prefetch(nxt);
+                  __builtin_prefetch(nxt + 64);
+                }
                 if constexpr (kPopHint) {
                   if (i + 1 < st.hi) soa_.node(i + 1).sbrb_prefetch_pop();
                 }
@@ -596,7 +601,7 @@ void ShardedEngine<Node>::run_window(int sidx, Step win_lo, Step win_hi) {
                   soa_.sbrb_clear_pending(i);
                   return;
                 }
-                const auto [to, msg] = nd.sbrb_pop_staged(s);
+                const auto [to, msg] = nd.sbrb_pop_staged(s, soa_.rng(i));
                 do_send(sidx, i, to, msg);
                 if (nd.sbrb_idle()) soa_.sbrb_clear_pending(i);
               });
@@ -870,10 +875,10 @@ RunMetrics ShardedEngine<Node>::run() {
     prof->shards = nshards_;
     prof->windows = windows_done_;
     prof->steps = t_end;
+    prof->wall_s = ProfileClock::seconds_since(prof_run0);
     prof->bytes_per_node =
         static_cast<std::int64_t>(footprint_bytes() / n);
     prof->peak_rss_bytes = current_peak_rss_bytes();
-    prof->wall_s = ProfileClock::seconds_since(prof_run0);
     prof->huge_page_bytes = current_huge_page_bytes();
   }
   for (const auto& st : shards_) st.counts.merge_into(metrics_);

@@ -219,6 +219,29 @@ TEST(FaultSemantics, RetransmissionsAreCountedAndOffByDefault) {
   EXPECT_LE(rel.msgs_retrans, rel.msgs_total);
 }
 
+// bytes_per_node counts the heap a node reports (heap_bytes()): with the
+// sublayer on, every CCG node holds a dense n-entry dedup filter, which
+// both engines must now show.
+TEST(FaultSemantics, BytesPerNodeCountsTheReliableSublayerHeap) {
+  const NodeId n = 512;
+  RunConfig cfg = base_cfg(n);
+  AlgoConfig acfg;
+  acfg.T = 10;
+  for (const ExecConfig exec :
+       {ExecConfig{EngineKind::kStepped, 1}, ExecConfig{EngineKind::kSharded, 2}}) {
+    SCOPED_TRACE(engine_name(exec.engine));
+    EngineProfile plain, rel;
+    cfg.profile = &plain;
+    acfg.reliable.enabled = false;
+    run_once(Algo::kCcg, acfg, cfg, exec);
+    cfg.profile = &rel;
+    acfg.reliable.enabled = true;
+    run_once(Algo::kCcg, acfg, cfg, exec);
+    EXPECT_GE(rel.bytes_per_node - plain.bytes_per_node,
+              static_cast<std::int64_t>(n * sizeof(std::uint64_t)));
+  }
+}
+
 // ------------------------------------------------ reliable sublayer unit --
 
 /// All ReliableLink asks of an engine context: the clock, LogP and a send

@@ -10,15 +10,24 @@
 //   * the sharded engine's staged-send step kernel must be invisible in
 //     the self-profile too: callback counts match the stepped engine
 //     exactly on clean runs (where the kernel engages);
+//   * the send cursor's corners - subscriptions that arrive after the
+//     echo and Ready fan-outs were staged, under a root that equivocates
+//     between two validly signed digests - match the oracle message for
+//     message, payloads included;
+//   * SbrbNode::heap_bytes() reports exactly its vectors' capacities;
 //   * sbrb_fill_sample output is sorted, distinct and never self;
 //   * sbrb_config_error / sbrb_samples reject malformed knobs with
 //     human-readable CG_CHECK messages (death tests).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <map>
+#include <mutex>
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gossip/sbrb.hpp"
@@ -265,6 +274,207 @@ TEST(SbrbFastPath, ShardedKernelProfileMatchesStepped) {
     EXPECT_EQ(serial.prof.callbacks_tick, sh.prof.callbacks_tick);
     EXPECT_EQ(serial.trace, sh.trace);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Send-cursor corners
+// ---------------------------------------------------------------------------
+
+/// One processed message, payload included (the trace omits payloads, so
+/// two Readies to one subscriber in swapped digest order would pass it).
+using Received = std::tuple<Step, NodeId, NodeId, Tag, std::uint32_t>;
+
+/// Shared receive log; shards dispatch concurrently, hence the lock.
+struct ReceiveLog {
+  std::mutex mu;
+  std::vector<Received> rows;
+};
+ReceiveLog* g_receive_log = nullptr;
+
+/// Node wrapper that logs every receive, then runs the wrapped node.  The
+/// engines call on_receive on the static node type, so this hides the
+/// inner one; every other hook (the staged-send kernel included) is
+/// inherited.
+template <class Inner>
+struct Logged : Inner {
+  using Inner::Inner;
+  template <class Ctx>
+  void on_receive(Ctx& ctx, const Message& m) {
+    {
+      const std::lock_guard<std::mutex> lock(g_receive_log->mu);
+      g_receive_log->rows.emplace_back(ctx.now(), ctx.self(), m.src, m.tag,
+                                       m.payload);
+    }
+    Inner::on_receive(ctx, m);
+  }
+};
+
+/// What a run left behind: the canonical trace, the metrics and every
+/// receive (sorted; same-step receives are a multiset).
+struct Recorded {
+  std::vector<TraceEvent> events;
+  std::string trace;
+  std::string metrics;
+  std::vector<Received> received;
+};
+
+template <class Node>
+Recorded record(const RunConfig& cfg, const SbrbNode::Params& params,
+                EngineKind kind, int shards) {
+  ReceiveLog log;
+  g_receive_log = &log;
+  Recorded out;
+  VectorTrace trace;
+  RunConfig tcfg = cfg;
+  tcfg.trace = &trace;
+  if (kind == EngineKind::kStepped) {
+    Engine<Logged<Node>> eng(tcfg, params);
+    out.metrics = obs::to_json(eng.run());
+  } else {
+    ShardedEngine<Logged<Node>> eng(tcfg, params, shards);
+    out.metrics = obs::to_json(eng.run());
+  }
+  g_receive_log = nullptr;
+  out.events = trace.events();
+  out.trace = canonical(trace);
+  out.received = std::move(log.rows);
+  std::sort(out.received.begin(), out.received.end());
+  return out;
+}
+
+/// The staged-send corners a run exercised, read off the oracle's run.
+struct Corners {
+  int late_echo_subs = 0;   ///< SubEcho processed after the node's 1st Echo
+  int late_ready_subs = 0;  ///< SubReady processed after its 1st Ready
+  int two_digest_readies = 0;  ///< (node, src) pairs with two Ready digests
+};
+
+Corners corners_of(const Recorded& r) {
+  Corners c;
+  std::map<NodeId, Step> first_echo, first_ready;
+  for (const TraceEvent& ev : r.events) {
+    if (ev.kind != TraceEvent::Kind::kSend) continue;
+    if (ev.tag == Tag::kSbrbEcho) first_echo.try_emplace(ev.node, ev.step);
+    if (ev.tag == Tag::kSbrbReady) first_ready.try_emplace(ev.node, ev.step);
+  }
+  const auto sent_before = [](const std::map<NodeId, Step>& first, NodeId i,
+                              Step s) {
+    const auto it = first.find(i);
+    return it != first.end() && it->second < s;
+  };
+  std::map<std::pair<NodeId, NodeId>, std::set<std::uint32_t>> digests;
+  for (const auto& [step, node, src, tag, payload] : r.received) {
+    if (tag == Tag::kSbrbSubEcho && sent_before(first_echo, node, step))
+      ++c.late_echo_subs;
+    if (tag == Tag::kSbrbSubReady && sent_before(first_ready, node, step))
+      ++c.late_ready_subs;
+    if (tag == Tag::kSbrbReady) digests[{node, src}].insert(payload);
+  }
+  for (const auto& [key, set] : digests)
+    if (set.size() >= 2) ++c.two_digest_readies;
+  return c;
+}
+
+// An equivocating root splits the first candidates between two signed
+// digests, so nodes turn Ready for both, and jitter spreads the
+// subscription dribble past the fan-outs: late subscribers land in the
+// cursor's segments between events, where each is owed an Echo and one
+// Ready per Ready digest, interleaved in arrival order.  Every receive -
+// payload included - must match the reference on the stepped engine and
+// the sharded engine at one and two shards.
+TEST(SbrbFastPath, LateSubscribersUnderEquivocatingRootMatchReference) {
+  Corners seen;
+  for (int seed = 0; seed < 6; ++seed) {
+    RunConfig cfg;
+    cfg.n = 96 + 16 * seed;
+    cfg.logp = LogP::unit();
+    cfg.seed = 1000u + static_cast<std::uint64_t>(seed);
+    cfg.jitter_max = seed % 3;
+    cfg.byzantine.nodes.push_back({cfg.root, ByzMode::kEquivocator});
+    ASSERT_EQ(config_error(cfg), "");
+    SbrbNode::Params params;
+    params.s = sbrb_samples(cfg.n, 1e-3, kSbrbByzFrac);
+    params.deadline = sbrb_deadline(params.s, cfg.logp);
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " n=" + std::to_string(cfg.n));
+
+    const Recorded oracle =
+        record<SbrbRefNode>(cfg, params, EngineKind::kStepped, 1);
+    const Corners c = corners_of(oracle);
+    seen.late_echo_subs += c.late_echo_subs;
+    seen.late_ready_subs += c.late_ready_subs;
+    seen.two_digest_readies += c.two_digest_readies;
+    for (const auto& [kind, shards] :
+         {std::pair{EngineKind::kStepped, 1}, std::pair{EngineKind::kSharded, 1},
+          std::pair{EngineKind::kSharded, 2}}) {
+      SCOPED_TRACE(std::string(engine_name(kind)) + "/" +
+                   std::to_string(shards));
+      const Recorded fast = record<SbrbNode>(cfg, params, kind, shards);
+      EXPECT_EQ(oracle.trace, fast.trace);
+      EXPECT_EQ(oracle.received, fast.received);
+      if (kind == EngineKind::kStepped) {
+        EXPECT_EQ(oracle.metrics, fast.metrics);
+      }
+    }
+    ASSERT_FALSE(::testing::Test::HasFailure());
+  }
+  // The sweep must actually reach the corners it is named after.
+  EXPECT_GT(seen.late_echo_subs, 0);
+  EXPECT_GT(seen.late_ready_subs, 0);
+  EXPECT_GT(seen.two_digest_readies, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Heap accounting
+// ---------------------------------------------------------------------------
+
+/// The Ctx surface SbrbNode uses, with nothing behind it.
+struct BareCtx {
+  std::uint64_t run_seed = 7;
+  Xoshiro256 stream{11};
+  void activate() {}
+  std::uint64_t seed() const { return run_seed; }
+  bool is_root() const { return false; }
+  Xoshiro256& rng() { return stream; }
+  void mark_colored() {}
+  void adopt_payload(std::uint32_t) {}
+  void deliver() {}
+  void complete() {}
+};
+
+TEST(SbrbNodeHeap, ReportsItsVectorsCapacities) {
+  // Staged sends are cursors, so the node itself stays small too.
+  EXPECT_LE(sizeof(SbrbNode), 464u);
+  const NodeId n = 4096;
+  SbrbNode::Params p;
+  p.s = sbrb_samples(n, 1e-4, kSbrbByzFrac);
+  SbrbNode node(p, /*self=*/5, n);
+  EXPECT_EQ(node.heap_bytes(), 0u);  // samples are drawn in on_start
+
+  BareCtx ctx;
+  node.on_start(ctx);
+  const std::size_t samples =
+      static_cast<std::size_t>(p.s.e + p.s.r + p.s.d) * sizeof(NodeId);
+  EXPECT_EQ(node.heap_bytes(), samples);
+
+  // Subscriptions grow the subscriber list exactly like a vector of the
+  // same element type; a repeated one is not stored again.
+  std::vector<std::uint32_t> mirror;
+  for (NodeId src = 100; src < 300; ++src) {
+    Message m;
+    m.src = src;
+    m.tag = src % 3 == 0 ? Tag::kSbrbSubEcho : Tag::kSbrbSubReady;
+    node.on_receive(ctx, m);
+    node.on_receive(ctx, m);
+    mirror.push_back(0);
+    ASSERT_EQ(node.heap_bytes(),
+              samples + mirror.capacity() * sizeof(std::uint32_t))
+        << "after " << mirror.size() << " subscribers";
+  }
+  // Reuse keeps (and still reports) the capacity: reruns allocate nothing.
+  node.reset_for_run(p, 5, n);
+  EXPECT_EQ(node.heap_bytes(),
+            samples + mirror.capacity() * sizeof(std::uint32_t));
 }
 
 }  // namespace

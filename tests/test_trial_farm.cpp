@@ -36,16 +36,21 @@
 
 namespace {
 std::atomic<std::int64_t> g_allocs{0};
+std::atomic<std::int64_t> g_alloc_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(static_cast<std::int64_t>(size),
+                          std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t al) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(static_cast<std::int64_t>(size),
+                          std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(al), size ? size : 1) != 0)
     throw std::bad_alloc();
@@ -310,9 +315,9 @@ TEST(TrialFarm, WorkspaceZeroAllocSteadyState) {
 
 TEST(TrialFarm, SbrbWorkspaceZeroAllocSteadyState) {
   // SBRB rides the same contract: SbrbNode::reset_for_run() preserves the
-  // capacity of its subscriber lists and send-staging slabs, so replayed
-  // clean-network trials touch no heap (the point of the flat sample
-  // arrays + compact Staged entries - see docs/PERF.md §7).
+  // capacity of its sample array and subscriber list, and its staged
+  // sends are cursors over those, so replayed clean-network trials touch
+  // no heap (docs/PERF.md §7).
   TrialSpec spec = clean_spec();
   spec.algo = Algo::kSbrb;
   spec.acfg.sbrb_eps = 1e-3;
@@ -323,6 +328,28 @@ TEST(TrialFarm, SbrbWorkspaceZeroAllocSteadyState) {
   const std::int64_t delta =
       g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(delta, 0) << "per-trial SBRB heap allocations regressed";
+}
+
+TEST(TrialFarm, SbrbFreshRunAllocatesUnder3KbPerNode) {
+  // A fresh SBRB run allocates its engine arrays plus, per node, the
+  // sample array and the subscriber list: staged sends are cursors over
+  // those, with no heap entry per message (about 8 KB per node when each
+  // staged message was copied into a queue).
+  RunConfig cfg;
+  cfg.n = 4096;
+  cfg.logp = LogP::piz_daint();
+  cfg.seed = 31;
+  AlgoConfig acfg;
+  acfg.sbrb_eps = 1e-4;
+  for (const ExecConfig exec :
+       {ExecConfig{EngineKind::kStepped, 1}, ExecConfig{EngineKind::kSharded, 1}}) {
+    const std::int64_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+    const RunMetrics m = run_once(Algo::kSbrb, acfg, cfg, exec);
+    const std::int64_t per_node =
+        (g_alloc_bytes.load(std::memory_order_relaxed) - before) / cfg.n;
+    EXPECT_TRUE(m.all_active_colored);
+    EXPECT_LT(per_node, 3 * 1024) << engine_name(exec.engine);
+  }
 }
 
 TEST(TrialFarm, FarmAllocationsAmortized) {
