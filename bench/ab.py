@@ -12,11 +12,13 @@ sides and flipping which goes first in every pair.  Prints, per workload
 and end-to-end metric, each side's median and IQR, the pairs the working
 tree won, and whether the claim rule holds: at least 9 of 10 pairs won
 (the same share for other pair counts) and a median gap larger than the
-parent's IQR.  Also prints every run's load and steal share from its
-environment stamp, warning when the host looked busy, and the address mod
-64 and size (`nm -C -S`) of the hot functions in both binaries: the pinned
-loops, and the stepped engine's dispatch and do_send, whose inlining moves
-with unrelated changes (a function GCC inlined is reported as absent).
+parent's IQR.  Also prints every run's broadcasts_per_s (whether every
+change run beat every parent run needs the runs, not the quartiles), its
+load and steal share from its environment stamp, warning when the host
+looked busy, and the address mod 64 and size (`nm -C -S`) of the hot
+functions in both binaries: the pinned loops, and the stepped engine's
+dispatch and do_send, whose inlining moves with unrelated changes (a
+function GCC inlined is reported as absent).
 
 Writes nothing inside the repository except what perfbench/run.py itself
 builds (.bench_build/).  Exit status: 0, or 1 when a run fails.
@@ -170,10 +172,12 @@ def main():
                 result, env = run_side(sides[side], workload, args.seed)
                 runs[side].append((result, env))
                 load, steal, busy, flag = host_note(env)
-                print("pair %2d %-6s failed=%d load=%.2f steal=%.1f%% "
-                      "busy=%.0f%%%s" % (i + 1, side, result["failed"], load,
-                                         100 * steal, 100 * busy,
-                                         "  WARNING: host busy" if flag else ""),
+                print("pair %2d %-6s broadcasts_per_s=%.4g failed=%d "
+                      "load=%.2f steal=%.1f%% busy=%.0f%%%s" % (
+                          i + 1, side,
+                          result["metrics"]["broadcasts_per_s"]["value"],
+                          result["failed"], load, 100 * steal, 100 * busy,
+                          "  WARNING: host busy" if flag else ""),
                       flush=True)
 
         print("\n%-22s %12s %9s %12s %9s %6s %9s  %s" % (

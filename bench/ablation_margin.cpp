@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const LogP logp = LogP::unit();
   // A deliberately loose default budget so the zero-margin row's misses
   // are visible at bench-scale trial counts.
-  const double eps = flags.get_double("eps", 1e-3);
+  const double eps = bench::eps_flag(flags, 1e-3);
 
   const Tuning t = tune_ocg(n, n, logp, eps);
   bench::print_header("Ablation: OCG tuning margins");

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flags.hpp"
@@ -69,6 +70,38 @@ inline ExecConfig exec_flag(const Flags& flags) {
   exec.threads =
       static_cast<int>(flags.get_int_in("shards", 1, 1, kMaxThreads));
   return exec;
+}
+
+/// --eps: a probability in (0, 1), the tuners' domain; anything else
+/// exits 2 instead of tripping the tuner's CG_CHECK.
+inline double eps_flag(const Flags& flags, double def) {
+  const double eps = flags.get_double("eps", def);
+  flags.require(eps > 0.0 && eps < 1.0, "eps", "a number in (0, 1)");
+  return eps;
+}
+
+/// Largest gossip time a sweep flag accepts: keeps the sweep plots' widths
+/// (two columns per step) inside int.
+inline constexpr Step kMaxSweepT = Step{1} << 16;
+
+/// --tmin/--tmax of a gossip-time sweep: 1 <= tmin <= tmax <= kMaxSweepT.
+inline std::pair<Step, Step> sweep_flags(const Flags& flags, Step tmin_def,
+                                         Step tmax_def) {
+  const Step tmin = flags.get_int_in("tmin", tmin_def, 1, kMaxSweepT);
+  const Step tmax = flags.get_int_in("tmax", tmax_def, 1, kMaxSweepT);
+  if (flags.has("tmax"))
+    flags.require(tmax >= tmin, "tmax",
+                  "an integer >= --tmin (" + std::to_string(tmin) + ")");
+  else
+    flags.require(tmax >= tmin, "tmin",
+                  "an integer <= --tmax (" + std::to_string(tmax) + ")");
+  return {tmin, tmax};
+}
+
+/// Width of a sweep's plot over `span` gossip-time steps: two columns per
+/// step, and at least AsciiPlot's minimum of 8.
+inline int sweep_plot_width(Step span) {
+  return static_cast<int>(std::max<Step>(8, 2 * span + 2));
 }
 
 /// If --csv=<path> was passed, write the table's CSV there (for plotting

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const auto n = flags.get_count("n", 1024);
   const int trials = flags.get_count("trials", 400);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const Step tmax = flags.get_int("tmax", 34);
+  const Step tmax = flags.get_int_in("tmax", 34, 0, bench::kMaxSweepT);
   const LogP logp = LogP::unit();
 
   bench::print_header(
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   bench::maybe_write_csv(flags, table);
 
   std::printf("\n");
-  AsciiPlot plot(static_cast<int>(2 * tmax + 2), 14);
+  AsciiPlot plot(bench::sweep_plot_width(tmax), 14);
   plot.add_series("c(t) simulated (g-nodes)", '*', c_pts);
   plot.add_series("K99 (longest uncolored chain)", 'k', k_pts);
   plot.print();

@@ -21,10 +21,9 @@ int main(int argc, char** argv) {
   const auto n = flags.get_count("n", 1024);
   const int trials = flags.get_count("trials", 1500);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const Step tmin = flags.get_int("tmin", 18);
-  const Step tmax = flags.get_int("tmax", 36);
-  const double eps =
-      flags.get_double("eps", eps_for_runs(0.5, static_cast<double>(trials)));
+  const auto [tmin, tmax] = bench::sweep_flags(flags, 18, 36);
+  const double eps = bench::eps_flag(
+      flags, eps_for_runs(0.5, static_cast<double>(trials)));
   const LogP logp = LogP::unit();
 
   bench::print_header("Figure 5: CCG completion time vs gossip time T");
@@ -63,7 +62,7 @@ int main(int argc, char** argv) {
   bench::maybe_write_csv(flags, table);
 
   std::printf("\n");
-  AsciiPlot plot(static_cast<int>(2 * (tmax - tmin) + 2), 14);
+  AsciiPlot plot(bench::sweep_plot_width(tmax - tmin), 14);
   plot.add_series("predicted (Eq. 4)", '-', pred_pts);
   plot.add_series("simulated max", '*', sim_pts);
   plot.print();

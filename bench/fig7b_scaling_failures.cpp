@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const auto max_n = flags.get_count("max-n", 16384);
   const int base_trials = flags.get_count("trials", 200);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2));
-  const double eps = flags.get_double("eps", paper_eps());
+  const double eps = bench::eps_flag(flags, paper_eps());
   const ExecConfig exec = bench::exec_flag(flags);
   const LogP logp = LogP::piz_daint();
 

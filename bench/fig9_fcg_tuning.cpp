@@ -22,11 +22,10 @@ int main(int argc, char** argv) {
   const auto n = flags.get_count("n", 1024);
   const int trials = flags.get_count("trials", 800);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const int f = static_cast<int>(flags.get_int("f", 1));
-  const Step tmin = flags.get_int("tmin", 22);
-  const Step tmax = flags.get_int("tmax", 44);
-  const double eps =
-      flags.get_double("eps", eps_for_runs(0.5, static_cast<double>(trials)));
+  const int f = static_cast<int>(flags.get_int_in("f", 1, 1, kMaxKnownF));
+  const auto [tmin, tmax] = bench::sweep_flags(flags, 22, 44);
+  const double eps = bench::eps_flag(
+      flags, eps_for_runs(0.5, static_cast<double>(trials)));
   const LogP logp = LogP::unit();
 
   bench::print_header("Figure 9: FCG completion time vs gossip time T");
@@ -66,7 +65,7 @@ int main(int argc, char** argv) {
   bench::maybe_write_csv(flags, table);
 
   std::printf("\n");
-  AsciiPlot plot(static_cast<int>(2 * (tmax - tmin) + 2), 14);
+  AsciiPlot plot(bench::sweep_plot_width(tmax - tmin), 14);
   plot.add_series("predicted (Eq. 5 bound)", '-', pred_pts);
   plot.add_series("simulated max", '*', sim_pts);
   plot.print();

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   const auto n = flags.get_count("n", 4096);
   const int trials = flags.get_count("trials", 200);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const double eps = flags.get_double("eps", paper_eps());
+  const double eps = bench::eps_flag(flags, paper_eps());
   const LogP logp = LogP::piz_daint();
   const bool is_paper_n = (n == 4096);
 

@@ -28,6 +28,7 @@
 // exact --replay command.  --replay re-executes that one trial on the
 // stepped engine (same seed and fault schedule) and, with --replay-out,
 // writes its full JSONL trace - the artifact ring is the exact suffix.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -114,6 +115,15 @@ int replay_trial(const cg::CampaignConfig& cfg,
   return 0;
 }
 
+/// Fewest nodes `spec`'s fault samplers can place their sets in: the root
+/// plus the largest of the crash/restart set, the stragglers and the
+/// partition, each drawn from distinct non-root nodes (a smaller n trips
+/// a sampler's CG_CHECK).
+int min_nodes(const cg::TrialSpec& spec) {
+  return 1 + std::max({spec.pre_failures + spec.online_failures + spec.restarts,
+                       spec.stragglers, spec.partition_nodes});
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -170,6 +180,13 @@ int main(int argc, char** argv) {
 
   for (const auto& s : scenarios) {
     const TrialSpec spec = campaign_trial_spec(cfg, s, entries.front());
+    if (cfg.n < min_nodes(spec)) {
+      std::fprintf(stderr,
+                   "--n=%d: scenario %s needs --n >= %d (the root plus the "
+                   "nodes it crashes, straggles or partitions)\n",
+                   cfg.n, s.name.c_str(), min_nodes(spec));
+      return 2;
+    }
     if (spec.byz_count > 0 && spec.byz_count > max_byzantine(spec)) {
       std::fprintf(stderr,
                    "%s: scenario %s places %d Byzantine nodes, but at most %d "

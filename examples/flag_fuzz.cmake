@@ -5,7 +5,11 @@
 #
 #   cmake -DCGSIM=<bin> -DTUNING_ADVISOR=<bin> -DFAILURE_DRILL=<bin>
 #         -DTRACE_RING=<bin> -DFAULT_CAMPAIGN=<bin> -DMEMBERSHIP_MONITOR=<bin>
-#         -DBSP_CONVERGENCE=<bin> -DQUICKSTART=<bin> -P flag_fuzz.cmake
+#         -DBSP_CONVERGENCE=<bin> -DQUICKSTART=<bin> -DFIG1_COLORING=<bin>
+#         -DFIG3_OCG_TUNING=<bin> -DFIG5_CCG_TUNING=<bin> -DFIG9_FCG_TUNING=<bin>
+#         -DFIG7A_SCALING=<bin> -DFIG7B_SCALING_FAILURES=<bin>
+#         -DTABLE7_CASE_STUDY=<bin> -DABLATION_MARGIN=<bin>
+#         -P flag_fuzz.cmake
 #
 # --shards and --threads get no valid value above 8: a multi-shard run asks
 # the thread pool for one thread per shard.  2^63 is rejected before any
@@ -13,6 +17,8 @@
 set(values "-1" "0" "" "9223372036854775808" "abc")
 set(pool_values "-1" "0" "" "abc" "8" "9223372036854775808")
 set(base --n=64 --trials=1)
+set(fig7a_scaling_base --max-n=64 --trials=1)
+set(fig7b_scaling_failures_base --max-n=64 --trials=1)
 
 set(cgsim_flags
     n l o eps f pre-fail online-fail seed trials jitter drop-prob drop
@@ -36,13 +42,35 @@ set(bsp_convergence_flags n tol seed)
 set(bsp_convergence_pool_flags)
 set(quickstart_flags n seed)
 set(quickstart_pool_flags threads)
+set(fig1_coloring_flags n trials seed tmax)
+set(fig1_coloring_pool_flags)
+set(fig3_ocg_tuning_flags n trials seed tmin tmax eps)
+set(fig3_ocg_tuning_pool_flags threads)
+set(fig5_ccg_tuning_flags n trials seed tmin tmax eps)
+set(fig5_ccg_tuning_pool_flags threads)
+set(fig9_fcg_tuning_flags n trials seed f tmin tmax eps)
+set(fig9_fcg_tuning_pool_flags threads)
+set(fig7a_scaling_flags max-n trials seed eps)
+set(fig7a_scaling_pool_flags threads shards)
+set(fig7b_scaling_failures_flags max-n trials seed eps)
+set(fig7b_scaling_failures_pool_flags threads shards)
+set(table7_case_study_flags n trials seed eps)
+set(table7_case_study_pool_flags threads)
+set(ablation_margin_flags n trials seed eps)
+set(ablation_margin_pool_flags threads)
 
 set(failures "")
 set(runs 0)
 foreach(prog cgsim tuning_advisor failure_drill trace_ring fault_campaign
-             membership_monitor bsp_convergence quickstart)
+             membership_monitor bsp_convergence quickstart fig1_coloring
+             fig3_ocg_tuning fig5_ccg_tuning fig9_fcg_tuning fig7a_scaling
+             fig7b_scaling_failures table7_case_study ablation_margin)
   string(TOUPPER "${prog}" var)
   set(bin "${${var}}")
+  set(prog_base ${base})
+  if(DEFINED ${prog}_base)
+    set(prog_base ${${prog}_base})
+  endif()
   # The sample reservoir is read only when a sample is written.
   set(extra "")
   if(prog STREQUAL "cgsim")
@@ -56,7 +84,7 @@ foreach(prog cgsim tuning_advisor failure_drill trace_ring fault_campaign
     endif()
     foreach(flag IN LISTS ${prog}${kind}_flags)
       foreach(v IN LISTS vals)
-        execute_process(COMMAND "${bin}" ${base} ${extra} "--${flag}=${v}"
+        execute_process(COMMAND "${bin}" ${prog_base} ${extra} "--${flag}=${v}"
                         RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
         math(EXPR runs "${runs} + 1")
         if(NOT rc STREQUAL "0" AND NOT rc STREQUAL "2")

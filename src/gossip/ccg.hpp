@@ -42,8 +42,26 @@ class CcgNode {
     std::shared_ptr<const std::vector<std::uint8_t>> seed_colored;
   };
 
-  CcgNode(const Params& p, NodeId self, NodeId n)
-      : p_(p), self_(self), ring_(n), rel_(p.reliable, self, n) {}
+  CcgNode(const Params& p, NodeId self, NodeId n) { reset_for_run(p, self, n); }
+
+  /// Return to the freshly constructed state, keeping the sublayer's
+  /// allocations: trial reruns and restarts reuse the node in place
+  /// (SoaNodeStore), so replayed CCG+rel trials allocate nothing.
+  void reset_for_run(const Params& p, NodeId self, NodeId n) {
+    p_ = p;
+    self_ = self;
+    ring_ = Ring(n);
+    colored_ = false;
+    g_node_ = false;
+    s_fwd_ = true;
+    s_bwd_ = true;
+    m_fwd_ = kNever;
+    m_bwd_ = kNever;
+    off_ = 1;
+    slot_ = 0;
+    rel_.reset_for_run(p.reliable, self);
+    want_complete_ = false;
+  }
 
   template <class Ctx>
   void on_start(Ctx& ctx) {
@@ -170,8 +188,8 @@ class CcgNode {
     if (want_complete_ && rel_.idle()) ctx.complete();
   }
   Params p_;
-  NodeId self_;
-  Ring ring_;
+  NodeId self_ = 0;
+  Ring ring_{1};
   bool colored_ = false;
   bool g_node_ = false;
   bool s_fwd_ = true;

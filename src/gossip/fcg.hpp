@@ -40,8 +40,17 @@ namespace cg {
 class KnownGNodes {
  public:
   KnownGNodes() = default;
-  KnownGNodes(Ring ring, NodeId self, Dir dir, int cap)
-      : ring_(ring), self_(self), dir_(dir), cap_(cap) {
+  KnownGNodes(Ring ring, NodeId self, Dir dir, int cap) {
+    reset_for_run(ring, self, dir, cap);
+  }
+
+  /// Empty list for a new run; keeps the id buffer's capacity.
+  void reset_for_run(Ring ring, NodeId self, Dir dir, int cap) {
+    ring_ = ring;
+    self_ = self;
+    dir_ = dir;
+    cap_ = cap;
+    ids_.clear();
     ids_.reserve(static_cast<std::size_t>(cap));
   }
 
@@ -102,14 +111,32 @@ class FcgNode {
                      8 * logp.delivery_delay() + 16;
   }
 
-  FcgNode(const Params& p, NodeId self, NodeId n)
-      : p_(p),
-        self_(self),
-        ring_(n),
-        known_{KnownGNodes(ring_, self, Dir::kFwd, p.f + 1),
-               KnownGNodes(ring_, self, Dir::kBwd, p.f + 1)},
-        rel_(p.reliable, self, n) {
+  FcgNode(const Params& p, NodeId self, NodeId n) { reset_for_run(p, self, n); }
+
+  /// Return to the freshly constructed state, keeping every buffer's
+  /// capacity (k-arrays, c-node list, sublayer): trial reruns and restarts
+  /// reuse the node in place (SoaNodeStore), so replayed FCG and FCG+rel
+  /// trials allocate nothing.
+  void reset_for_run(const Params& p, NodeId self, NodeId n) {
     CG_CHECK(p.f >= 0 && p.f <= kMaxKnownF);
+    p_ = p;
+    self_ = self;
+    ring_ = Ring(n);
+    colored_ = false;
+    g_node_ = false;
+    done_ = false;
+    sos_mode_ = false;
+    sos_next_ = 0;
+    for (const Dir d : {Dir::kFwd, Dir::kBwd}) {
+      known_[idx(d)].reset_for_run(ring_, self, d, p.f + 1);
+      off_[idx(d)] = 1;
+      s_[idx(d)] = true;
+      final_[idx(d)] = false;
+    }
+    slot_ = 0;
+    cnode_known_.clear();
+    rel_.reset_for_run(p.reliable, self);
+    want_complete_ = false;
   }
 
   template <class Ctx>
@@ -345,8 +372,8 @@ class FcgNode {
   }
 
   Params p_;
-  NodeId self_;
-  Ring ring_;
+  NodeId self_ = 0;
+  Ring ring_{1};
   bool colored_ = false;
   bool g_node_ = false;
   bool done_ = false;

@@ -23,9 +23,10 @@
 //     the engines process a step's arrivals in engine-specific order, so
 //     any queue keyed on ARRIVAL order would leak scheduling into ack
 //     timing and break cross-engine parity.
-//     Duplicate suppression rides proto/dedup.hpp's per-peer monotone
-//     counters (BroadcastFilter keyed by sender), per the paper's Claim 1
-//     bookkeeping;
+//     Duplicate suppression is the paper's Claim 1 bookkeeping: a tracked
+//     message is fresh exactly when its seq exceeds the highest seq seen
+//     from its sender (the per-peer counter the cumulative ack already
+//     keeps), so no per-node array sized by N is needed;
 //   * acks are never themselves acked or retransmitted - the data-side
 //     timer covers a lost ack (the data is retransmitted, re-acked and
 //     deduplicated).
@@ -39,7 +40,10 @@
 // when the sublayer is enabled.  A disabled link is pointer-sized, which is
 // what keeps CcgNode/FcgNode dense enough for the million-node SoA slab
 // (docs/PERF.md §6) - the default configuration embeds ~150 bytes of empty
-// vectors per node otherwise.
+// vectors per node otherwise.  An enabled link holds O(peers) state: a few
+// entries per node it exchanged tracked traffic with, never one per node
+// of the run.  reset_for_run() returns it to the fresh state and keeps the
+// vectors' capacities, so replayed trials allocate nothing.
 #pragma once
 
 #include <algorithm>
@@ -51,7 +55,6 @@
 
 #include "common/check.hpp"
 #include "common/types.hpp"
-#include "proto/dedup.hpp"
 #include "proto/message.hpp"
 
 namespace cg {
@@ -86,10 +89,6 @@ class ReliableLink {
 
   ReliableLink() = default;
 
-  ReliableLink(const ReliableParams& p, NodeId self, NodeId n) {
-    if (p.enabled) st_ = std::make_unique<State>(p, self, n);
-  }
-
   // Deep-copyable so protocol nodes stay regular values (the engines only
   // ever move, but tests and helpers may copy).
   ReliableLink(const ReliableLink& o)
@@ -101,6 +100,19 @@ class ReliableLink {
   ReliableLink(ReliableLink&&) noexcept = default;
   ReliableLink& operator=(ReliableLink&&) noexcept = default;
 
+  /// Start a run with `p`.  An enabled link keeps the State of an earlier
+  /// run and its vectors' capacities; a disabled one frees it (a disabled
+  /// link is a null pointer).
+  void reset_for_run(const ReliableParams& p, NodeId self) {
+    if (!p.enabled) {
+      st_.reset();
+    } else if (st_) {
+      st_->reset(p, self);
+    } else {
+      st_ = std::make_unique<State>(p, self);
+    }
+  }
+
   bool enabled() const { return st_ != nullptr; }
 
   /// No unacked transactions and no acks owed: safe to complete().
@@ -110,8 +122,8 @@ class ReliableLink {
 
   std::int64_t abandoned() const { return st_ ? st_->abandoned : 0; }
 
-  /// Heap the sublayer holds: its State, the vectors' capacities and the
-  /// dedup filter (0 when disabled).
+  /// Heap the sublayer holds: its State and the vectors' capacities (0
+  /// when disabled).
   std::size_t heap_bytes() const {
     if (!st_) return 0;
     return sizeof(State) + st_->pending.capacity() * sizeof(Pending) +
@@ -119,8 +131,7 @@ class ReliableLink {
            st_->last_seq_v.capacity() *
                sizeof(std::pair<NodeId, std::uint64_t>) +
            st_->ack_owed_v.capacity() *
-               sizeof(std::pair<NodeId, std::uint8_t>) +
-           st_->seen.heap_bytes();
+               sizeof(std::pair<NodeId, std::uint8_t>);
   }
 
   /// Send `m` to `to` with delivery tracking (consumes this step's slot).
@@ -212,18 +223,19 @@ class ReliableLink {
       return Rx::kAck;
     }
     if (!is_reliable_tag(m.tag)) return Rx::kProcess;
-    // Track the highest seq seen and owe the sender a cumulative ack
-    // (duplicates re-queue it: our previous ack may have been lost).
+    // Claim-1 dedup: fresh exactly when the seq beats the highest one seen
+    // from this sender, read before it is raised.  Either way, owe the
+    // sender a cumulative ack (duplicates re-queue it: our previous ack may
+    // have been lost).
+    const auto seq = static_cast<std::uint64_t>(m.time);
     auto& hi = st_->last_seq(m.src);
-    hi = std::max(hi, static_cast<std::uint64_t>(m.time));
+    const bool fresh = seq > hi;
+    hi = std::max(hi, seq);
     if (st_->ack_owed(m.src) == 0) {
       st_->ack_owed(m.src) = 1;
       st_->ack_queue.push_back({m.src, ctx.now()});
     }
-    // Claim-1 dedup: per-sender monotone counter.
-    if (!st_->seen.accept({m.src, static_cast<std::uint64_t>(m.time)}))
-      return Rx::kDuplicate;
-    return Rx::kProcess;
+    return fresh ? Rx::kProcess : Rx::kDuplicate;
   }
 
  private:
@@ -242,10 +254,22 @@ class ReliableLink {
   /// Everything an ENABLED link needs; a disabled link is just a null
   /// pointer to this (see the memory-plan note in the file comment).
   struct State {
-    State(const ReliableParams& params, NodeId self_id, NodeId n)
-        : p(params), self(self_id), seen(n) {
-      CG_CHECK(p.max_retries >= 0);
-      CG_CHECK(p.rto >= 0 && p.backoff_cap >= 1);
+    State(const ReliableParams& params, NodeId self_id) {
+      reset(params, self_id);
+    }
+
+    /// The fresh state; the vectors keep their capacities.
+    void reset(const ReliableParams& params, NodeId self_id) {
+      CG_CHECK(params.max_retries >= 0);
+      CG_CHECK(params.rto >= 0 && params.backoff_cap >= 1);
+      p = params;
+      self = self_id;
+      next_seq = 0;
+      pending.clear();
+      ack_queue.clear();
+      last_seq_v.clear();
+      ack_owed_v.clear();
+      abandoned = 0;
     }
 
     void drop_pending(NodeId to) {
@@ -277,7 +301,6 @@ class ReliableLink {
     std::vector<OwedAck> ack_queue;                      // owed acks
     std::vector<std::pair<NodeId, std::uint64_t>> last_seq_v;
     std::vector<std::pair<NodeId, std::uint8_t>> ack_owed_v;
-    BroadcastFilter seen;                                // per-sender dedup
     std::int64_t abandoned = 0;
   };
 

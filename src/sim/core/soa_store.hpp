@@ -6,9 +6,9 @@
 //   * NodeStateStore - the canonical lifecycle/timestamp arrays and the
 //     one RunMetrics finalization (semantics stay in ONE place, so the
 //     engines cannot drift apart);
-//   * packed bitmaps MIRRORING the Active and colored states (kept
-//     coherent by the transition wrappers below), so per-step tick sweeps
-//     scan 64 nodes per word instead of a byte per node;
+//   * a packed bitmap MIRRORING the Active state (kept coherent by the
+//     transition wrappers below), so per-step tick sweeps scan 64 nodes
+//     per word instead of a byte per node;
 //   * the dense protocol slab (NodeArray<Node>, contiguous - GOS nodes are
 //     ~16 bytes, so a million nodes fit in a few cache-resident MB) and
 //     the per-node RNG streams, both on huge pages once they reach 2 MiB
@@ -18,7 +18,7 @@
 // The existing Protocol object API (on_start/on_tick/on_receive against
 // BasicCtx) keeps working: each engine's ctx_* hooks forward every
 // transition through this store, which updates the byte arrays and the
-// bitmaps together.  Protocols never see the bitmaps - they are an engine
+// bitmap together.  Protocols never see the bitmaps - they are an engine
 // -side acceleration structure, not model state.
 //
 // Thread-safety contract (sharded engine): all mutating calls for node i
@@ -46,7 +46,6 @@ class SoaNodeStore {
   void reset(NodeId n, std::uint64_t seed, const Params& params) {
     life_.reset(n);
     active_.reset(n);
-    colored_.reset(n);
     const auto sz = static_cast<std::size_t>(n);
     if constexpr (kNodeReset) {
       if (nodes_.size() == sz) {
@@ -85,14 +84,12 @@ class SoaNodeStore {
 
   /// Bitmap of Active nodes (engine sweep acceleration; read-only).
   const PackedBits& active_bits() const { return active_; }
-  /// Bitmap of colored nodes (read-only).
-  const PackedBits& colored_bits() const { return colored_; }
 
   // --- dense SBRB state block (sharded SBRB step kernel) ------------------
   // One bit per node: "has staged sends" (SbrbNode::sbrb_idle() == false).
   // The sharded engine's SBRB kernel sweeps pending AND active instead of
   // ticking every active node, so idle nodes cost nothing per step.  Only
-  // allocated when the engine asks for it; like the lifecycle bitmaps,
+  // allocated when the engine asks for it; like the Active bitmap,
   // words are owner-disjoint under 64-aligned shard blocks.
 
   /// (Re)allocate and clear the pending-sends bitmap for n() nodes.
@@ -101,7 +98,7 @@ class SoaNodeStore {
   void sbrb_set_pending(NodeId i) { sbrb_pending_.set(i); }
   void sbrb_clear_pending(NodeId i) { sbrb_pending_.clear(i); }
 
-  // --- transitions (byte arrays + bitmaps updated together) --------------
+  // --- transitions (byte arrays + bitmap updated together) ---------------
   void pre_fail(NodeId i) { life_.pre_fail(i); }
 
   bool activate(NodeId i, Step now) {
@@ -129,14 +126,11 @@ class SoaNodeStore {
       nodes_[static_cast<std::size_t>(i)].reset_for_run(params, i, life_.n());
     else
       nodes_[static_cast<std::size_t>(i)] = Node(params, i, life_.n());
-    colored_.clear(i);
     return true;
   }
 
   bool mark_colored(NodeId i, Step now, std::uint32_t payload = 0) {
-    if (!life_.mark_colored(i, now, payload)) return false;
-    colored_.set(i);
-    return true;
+    return life_.mark_colored(i, now, payload);
   }
 
   bool mark_delivered(NodeId i, Step now) {
@@ -164,8 +158,7 @@ class SoaNodeStore {
       for (const Node& nd : nodes_) node_heap += nd.heap_bytes();
     return node_heap + nodes_.capacity() * sizeof(Node) +
            rng_.capacity() * sizeof(Xoshiro256) +
-           active_.footprint_bytes() + colored_.footprint_bytes() +
-           sbrb_pending_.footprint_bytes() +
+           active_.footprint_bytes() + sbrb_pending_.footprint_bytes() +
            // NodeStateStore's arrays: alive, state and byzantine bytes, held
            // and delivered payloads, four timestamps (pinned to its own
            // footprint_bytes() by the SoaNodeStore tests).
@@ -179,7 +172,7 @@ class SoaNodeStore {
   /// the freshly constructed state)?  Then trial reruns and restarts reuse
   /// the node objects instead of re-emplacing them - the zero-alloc
   /// steady state for protocols with internal buffers (SBRB's samples and
-  /// subscriber list).
+  /// subscriber list, FCG's k-arrays, the reliable sublayer's state).
   static constexpr bool kNodeReset =
       requires(Node& nd, const Params& p) {
         nd.reset_for_run(p, NodeId{0}, NodeId{2});
@@ -190,8 +183,7 @@ class SoaNodeStore {
   };
 
   NodeStateStore life_;
-  PackedBits active_;   // mirrors state == kActive
-  PackedBits colored_;  // mirrors colored_at != kNever
+  PackedBits active_;        // mirrors state == kActive
   PackedBits sbrb_pending_;  // SBRB kernel: nodes with staged sends
   NodeArray<Node> nodes_;
   NodeArray<Xoshiro256> rng_;

@@ -425,18 +425,14 @@ struct PlainNode {
 
 void expect_bitmaps_mirror(const SoaNodeStore<PlainNode>& store,
                            std::uint64_t seed, int op) {
-  NodeId active = 0, colored = 0;
+  NodeId active = 0;
   for (NodeId i = 0; i < store.n(); ++i) {
     const bool is_active = store.state(i) == NodeRunState::kActive;
     ASSERT_EQ(store.active_bits().test(i), is_active)
         << "seed " << seed << " op " << op << " node " << i;
-    ASSERT_EQ(store.colored_bits().test(i), store.colored(i))
-        << "seed " << seed << " op " << op << " node " << i;
     active += is_active ? 1 : 0;
-    colored += store.colored(i) ? 1 : 0;
   }
   EXPECT_EQ(store.active_bits().count_in(0, store.n()), active);
-  EXPECT_EQ(store.colored_bits().count_in(0, store.n()), colored);
 }
 
 TEST(SoaNodeStore, FootprintCountsEveryLifecycleArray) {
@@ -449,7 +445,6 @@ TEST(SoaNodeStore, FootprintCountsEveryLifecycleArray) {
     const std::size_t rest = store.footprint_bytes() -
                              sz * (sizeof(PlainNode) + sizeof(Xoshiro256)) -
                              store.active_bits().footprint_bytes() -
-                             store.colored_bits().footprint_bytes() -
                              store.sbrb_pending_bits().footprint_bytes();
     EXPECT_EQ(rest, store.life().footprint_bytes()) << "n " << n;
   }

@@ -4,6 +4,9 @@
 // campaign runner's guarantee predicates + JSON report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <set>
 #include <string>
 #include <utility>
@@ -12,6 +15,7 @@
 #include "gossip/reliable.hpp"
 #include "harness/campaign.hpp"
 #include "harness/runner.hpp"
+#include "harness/scenarios.hpp"
 #include "obs/report.hpp"
 #include "sim/fault/burst_loss.hpp"
 #include "sim/fault/validate.hpp"
@@ -220,16 +224,14 @@ TEST(FaultSemantics, RetransmissionsAreCountedAndOffByDefault) {
 }
 
 // bytes_per_node counts the heap a node reports (heap_bytes()): with the
-// sublayer on, every CCG node holds a dense n-entry dedup filter, which
-// both engines must now show.
+// sublayer on, every CCG node holds its per-peer sequence, ack and
+// retransmit state, which both engines must show.  That state is O(peers):
+// the gap to a plain run must not grow with n (a per-node array sized by n
+// would add n * 8 bytes or more).
 TEST(FaultSemantics, BytesPerNodeCountsTheReliableSublayerHeap) {
-  const NodeId n = 512;
-  RunConfig cfg = base_cfg(n);
-  AlgoConfig acfg;
-  acfg.T = 10;
-  for (const ExecConfig exec :
-       {ExecConfig{EngineKind::kStepped, 1}, ExecConfig{EngineKind::kSharded, 2}}) {
-    SCOPED_TRACE(engine_name(exec.engine));
+  const auto sublayer_bytes = [](NodeId n, const ExecConfig& exec) {
+    RunConfig cfg = base_cfg(n);
+    AlgoConfig acfg = tune_for(Algo::kCcg, n, n, cfg.logp, 1e-4).acfg;
     EngineProfile plain, rel;
     cfg.profile = &plain;
     acfg.reliable.enabled = false;
@@ -237,8 +239,17 @@ TEST(FaultSemantics, BytesPerNodeCountsTheReliableSublayerHeap) {
     cfg.profile = &rel;
     acfg.reliable.enabled = true;
     run_once(Algo::kCcg, acfg, cfg, exec);
-    EXPECT_GE(rel.bytes_per_node - plain.bytes_per_node,
-              static_cast<std::int64_t>(n * sizeof(std::uint64_t)));
+    return rel.bytes_per_node - plain.bytes_per_node;
+  };
+  for (const ExecConfig exec :
+       {ExecConfig{EngineKind::kStepped, 1}, ExecConfig{EngineKind::kSharded, 2}}) {
+    SCOPED_TRACE(engine_name(exec.engine));
+    const std::int64_t small = sublayer_bytes(512, exec);
+    const std::int64_t large = sublayer_bytes(4096, exec);
+    EXPECT_GT(small, 0);
+    EXPECT_GT(large, 0);
+    EXPECT_LE(large, 2 * small) << "n=512: " << small << " B, n=4096: "
+                                << large << " B";
   }
 }
 
@@ -267,7 +278,9 @@ Message tracked(NodeId src, Step seq) {
 ReliableLink enabled_link() {
   ReliableParams p;
   p.enabled = true;
-  return ReliableLink(p, /*self=*/0, /*n=*/8);
+  ReliableLink link;
+  link.reset_for_run(p, /*self=*/0);
+  return link;
 }
 
 /// Flushes the link's send slot once; returns the kAck it sent (or fails).
@@ -346,6 +359,81 @@ TEST(ReliableLink, AckClearsThePendingTransaction) {
   EXPECT_FALSE(link.on_tick(ctx));
   EXPECT_TRUE(ctx.sent.empty());
   EXPECT_EQ(link.abandoned(), 0);
+}
+
+// The sublayer's dedup against a dense oracle: a per-sender max counter
+// (the paper's Claim 1 c[i], one slot per node).  Random arrival streams
+// from several senders - reordered, duplicated, retransmitted, with acks
+// and untracked traffic mixed in - must get the same kProcess/kDuplicate
+// answer from both, and the cumulative ack must carry the oracle's count.
+// A reset link must answer like a fresh one.
+TEST(ReliableLink, DedupMatchesADensePerSenderCounter) {
+  using Rx = ReliableLink::Rx;
+  constexpr NodeId kN = 16;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    ReliableLink link = enabled_link();
+    for (int run = 0; run < 2; ++run) {
+      if (run == 1) {
+        ReliableParams p;
+        p.enabled = true;
+        link.reset_for_run(p, /*self=*/0);
+        EXPECT_TRUE(link.idle());
+      }
+      FakeCtx ctx;
+      std::vector<std::uint64_t> oracle(kN, 0);  // dense c[sender]
+      std::vector<Step> next_seq(kN, 0);
+      std::vector<Message> in_flight;
+      const int senders = 2 + static_cast<int>(rng() % 5);
+      for (int ev = 0; ev < 400; ++ev) {
+        ctx.t = ev;
+        const int kind = static_cast<int>(rng() % 10);
+        if (kind < 3 || in_flight.empty()) {
+          // A sender emits its next seq; it arrives later, maybe twice.
+          const auto src = static_cast<NodeId>(1 + rng() % senders);
+          Message m = tracked(src, ++next_seq[static_cast<std::size_t>(src)]);
+          m.tag = rng() % 4 == 0 ? Tag::kSos : Tag::kBwd;
+          in_flight.push_back(m);
+          continue;
+        }
+        if (kind == 3) {  // untracked traffic and stray acks pass through
+          Message g = tracked(static_cast<NodeId>(1 + rng() % senders), 0);
+          g.tag = Tag::kGossip;
+          EXPECT_EQ(link.on_receive(ctx, g), Rx::kProcess);
+          g.tag = Tag::kAck;
+          EXPECT_EQ(link.on_receive(ctx, g), Rx::kAck);
+          continue;
+        }
+        if (kind == 4) {  // flush one owed ack: it acks the oracle's max
+          ctx.sent.clear();
+          if (link.on_tick(ctx)) {
+            ASSERT_EQ(ctx.sent.size(), 1u);
+            const auto& [to, ack] = ctx.sent[0];
+            ASSERT_EQ(ack.tag, Tag::kAck);
+            EXPECT_EQ(static_cast<std::uint64_t>(ack.time),
+                      oracle[static_cast<std::size_t>(to)]);
+          }
+          continue;
+        }
+        // Any in-flight message arrives (reordering); a copy may stay in
+        // flight (duplicate delivery or a retransmission).
+        const std::size_t k = rng() % in_flight.size();
+        Message m = in_flight[k];
+        if (rng() % 3 == 0) m.retrans = 1;
+        if (rng() % 2 == 0) {
+          in_flight[k] = in_flight.back();
+          in_flight.pop_back();
+        }
+        auto& c = oracle[static_cast<std::size_t>(m.src)];
+        const auto seq = static_cast<std::uint64_t>(m.time);
+        const Rx want = seq > c ? Rx::kProcess : Rx::kDuplicate;
+        c = std::max(c, seq);
+        ASSERT_EQ(link.on_receive(ctx, m), want)
+            << "seed " << seed << " run " << run << " event " << ev
+            << " src " << m.src << " seq " << seq;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- the campaign --

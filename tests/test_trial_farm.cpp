@@ -9,10 +9,12 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "harness/campaign.hpp"
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
+#include "harness/scenarios.hpp"
 #include "obs/report.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -257,32 +259,63 @@ TEST(TrialFarm, CampaignParityAcrossThreadCounts) {
 
 // --- Engine reuse parity ---------------------------------------------------
 
+/// faulty_spec() on `algo`, with the reliable sublayer on or off.  Its
+/// restart revives a node in place mid-run (SoaNodeStore::revive).
+TrialSpec faulty_spec(Algo algo, bool reliable) {
+  TrialSpec spec = faulty_spec();
+  spec.algo = algo;
+  if (algo == Algo::kFcg) spec.acfg.fcg_f = 1;
+  spec.acfg.reliable.enabled = reliable;
+  return spec;
+}
+
 TEST(TrialFarm, WorkspaceMatchesFreshEngine) {
-  const TrialSpec spec = faulty_spec();
+  for (const TrialSpec& spec :
+       {faulty_spec(), faulty_spec(Algo::kCcg, true),
+        faulty_spec(Algo::kFcg, true)}) {
+    SCOPED_TRACE(std::string(algo_name(spec.algo)) +
+                 (spec.acfg.reliable.enabled ? "+rel" : ""));
+    TrialWorkspace ws;
+    for (int t = 0; t < 16; ++t) {
+      const RunConfig rcfg = trial_run_config(spec, t);
+      const RunMetrics fresh = run_once(spec.algo, spec.acfg, rcfg);
+      const RunMetrics reused = ws.run(spec, t);
+      EXPECT_EQ(obs::to_json(fresh), obs::to_json(reused)) << "trial " << t;
+    }
+  }
+}
+
+/// Runs `seq` through one workspace; each leg must match a fresh engine.
+void expect_workspace_legs_match(const std::vector<TrialSpec>& seq) {
   TrialWorkspace ws;
-  for (int t = 0; t < 16; ++t) {
+  int t = 0;
+  for (const TrialSpec& spec : seq) {
     const RunConfig rcfg = trial_run_config(spec, t);
     const RunMetrics fresh = run_once(spec.algo, spec.acfg, rcfg);
     const RunMetrics reused = ws.run(spec, t);
-    EXPECT_EQ(obs::to_json(fresh), obs::to_json(reused)) << "trial " << t;
+    EXPECT_EQ(obs::to_json(fresh), obs::to_json(reused)) << "leg " << t;
+    ++t;
   }
 }
 
 TEST(TrialFarm, WorkspaceSurvivesAlgoSwitch) {
-  TrialSpec ccg = faulty_spec();
-  TrialSpec fcg = faulty_spec();
-  fcg.algo = Algo::kFcg;
-  fcg.acfg.fcg_f = 1;
-  TrialWorkspace ws;
-  const TrialSpec* seq[] = {&ccg, &fcg, &ccg, &fcg, &ccg};
-  int t = 0;
-  for (const TrialSpec* spec : seq) {
-    const RunConfig rcfg = trial_run_config(*spec, t);
-    const RunMetrics fresh = run_once(spec->algo, spec->acfg, rcfg);
-    const RunMetrics reused = ws.run(*spec, t);
-    EXPECT_EQ(obs::to_json(fresh), obs::to_json(reused)) << "leg " << t;
-    ++t;
-  }
+  const TrialSpec ccg = faulty_spec();
+  const TrialSpec fcg = faulty_spec(Algo::kFcg, false);
+  const TrialSpec ccg_rel = faulty_spec(Algo::kCcg, true);
+  const TrialSpec fcg_rel = faulty_spec(Algo::kFcg, true);
+  expect_workspace_legs_match({ccg, fcg, ccg, fcg, ccg});
+  expect_workspace_legs_match({ccg_rel, fcg_rel, ccg_rel, fcg_rel, ccg_rel});
+}
+
+TEST(TrialFarm, WorkspaceAlternatesReliableAndPlain) {
+  // The same node type serves both variants: a reused node gains, keeps
+  // or drops its sublayer state as the spec asks.
+  const TrialSpec ccg = faulty_spec();
+  const TrialSpec fcg = faulty_spec(Algo::kFcg, false);
+  const TrialSpec ccg_rel = faulty_spec(Algo::kCcg, true);
+  const TrialSpec fcg_rel = faulty_spec(Algo::kFcg, true);
+  expect_workspace_legs_match(
+      {ccg, ccg_rel, ccg_rel, ccg, ccg_rel, fcg_rel, fcg, fcg_rel, fcg});
 }
 
 // --- Zero-alloc steady state -----------------------------------------------
@@ -299,8 +332,9 @@ TrialSpec clean_spec() {
   return spec;
 }
 
-TEST(TrialFarm, WorkspaceZeroAllocSteadyState) {
-  const TrialSpec spec = clean_spec();
+/// Heap allocations made while replaying the 32 trials `spec` already ran
+/// once in the same workspace.
+std::int64_t replayed_trial_allocs(const TrialSpec& spec) {
   TrialWorkspace ws;
   // Warm pass: slabs, calendar slots, and scratch vectors reach their
   // high-water capacities for these exact trials.
@@ -308,9 +342,57 @@ TEST(TrialFarm, WorkspaceZeroAllocSteadyState) {
   // Steady state: replaying the same trials must reuse every buffer.
   const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
   for (int t = 0; t < 32; ++t) ws.run(spec, t);
-  const std::int64_t delta =
-      g_allocs.load(std::memory_order_relaxed) - before;
-  EXPECT_EQ(delta, 0) << "per-trial heap allocations regressed";
+  return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+TEST(TrialFarm, WorkspaceZeroAllocSteadyState) {
+  EXPECT_EQ(replayed_trial_allocs(clean_spec()), 0)
+      << "per-trial heap allocations regressed";
+}
+
+TEST(TrialFarm, ReliableCcgWorkspaceZeroAllocSteadyState) {
+  // CcgNode::reset_for_run keeps the sublayer's State and its vectors.
+  TrialSpec spec = clean_spec();
+  spec.acfg.reliable.enabled = true;
+  EXPECT_EQ(replayed_trial_allocs(spec), 0)
+      << "per-trial CCG+rel heap allocations regressed";
+}
+
+TEST(TrialFarm, FcgWorkspaceZeroAllocSteadyState) {
+  // FcgNode::reset_for_run keeps its k-arrays, its c-node list and, with
+  // the sublayer on, the sublayer's buffers.
+  for (const bool reliable : {false, true}) {
+    TrialSpec spec = clean_spec();
+    spec.algo = Algo::kFcg;
+    spec.acfg.fcg_f = 1;
+    spec.acfg.reliable.enabled = reliable;
+    EXPECT_EQ(replayed_trial_allocs(spec), 0)
+        << "per-trial FCG" << (reliable ? "+rel" : "")
+        << " heap allocations regressed";
+  }
+}
+
+TEST(TrialFarm, ReliableTrialBytesGrowLinearly) {
+  // The sublayer holds O(peers) state per node, so a fresh CCG+rel trial
+  // allocates about linearly in n: 4x the nodes, under 6x the bytes.  A
+  // per-node array sized by n (n^2 entries in all) makes the ratio ~13x.
+  const auto trial_bytes = [](NodeId n) {
+    RunConfig cfg;
+    cfg.n = n;
+    cfg.logp = LogP::unit();
+    cfg.seed = 17;
+    cfg.burst = BurstLoss::from_rate(0.03, 4);
+    AlgoConfig acfg = tune_for(Algo::kCcg, n, n, cfg.logp, 1e-4).acfg;
+    acfg.reliable.enabled = true;
+    const std::int64_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+    const RunMetrics m = run_once(Algo::kCcg, acfg, cfg);
+    EXPECT_TRUE(m.all_active_colored) << "n " << n;
+    return g_alloc_bytes.load(std::memory_order_relaxed) - before;
+  };
+  const std::int64_t small = trial_bytes(512);
+  const std::int64_t large = trial_bytes(2048);
+  EXPECT_LT(large, 6 * small) << "n=512: " << small << " B, n=2048: "
+                              << large << " B";
 }
 
 TEST(TrialFarm, SbrbWorkspaceZeroAllocSteadyState) {
@@ -321,13 +403,8 @@ TEST(TrialFarm, SbrbWorkspaceZeroAllocSteadyState) {
   TrialSpec spec = clean_spec();
   spec.algo = Algo::kSbrb;
   spec.acfg.sbrb_eps = 1e-3;
-  TrialWorkspace ws;
-  for (int t = 0; t < 32; ++t) ws.run(spec, t);
-  const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
-  for (int t = 0; t < 32; ++t) ws.run(spec, t);
-  const std::int64_t delta =
-      g_allocs.load(std::memory_order_relaxed) - before;
-  EXPECT_EQ(delta, 0) << "per-trial SBRB heap allocations regressed";
+  EXPECT_EQ(replayed_trial_allocs(spec), 0)
+      << "per-trial SBRB heap allocations regressed";
 }
 
 TEST(TrialFarm, SbrbFreshRunAllocatesUnder3KbPerNode) {
