@@ -16,6 +16,9 @@ int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
   const auto n = flags.get_count("n", 1024);
+  flags.require(n >= 3, "n",
+                "an integer >= 3 (below that K_bar is 0 and OCG-CHAIN has no "
+                "chain)");
   const int trials = flags.get_count("trials", 300);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const double eps = 1e-4;

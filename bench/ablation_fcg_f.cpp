@@ -15,6 +15,8 @@ int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
   const auto n = flags.get_count("n", 1024);
+  flags.require(n >= 4, "n",
+                "an integer >= 4 (f = 3 online failures beside the root)");
   const int trials = flags.get_count("trials", 300);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const LogP logp = LogP::piz_daint();

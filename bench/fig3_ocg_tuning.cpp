@@ -10,6 +10,7 @@
 //                     [--tmin=18] [--tmax=36] [--eps=...]
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "analysis/tuning.hpp"
 #include "bench_util.hpp"
@@ -58,13 +59,20 @@ int main(int argc, char** argv) {
     const TrialAggregate agg = run_trials(spec);
     const Step pred = ocg_predicted_latency(n, n, T, logp, eps);
     pred_pts.emplace_back(static_cast<double>(T), static_cast<double>(pred));
-    sim_pts.emplace_back(static_cast<double>(T), agg.t_last_colored.max());
+    // If no trial colored every node, the simulated columns are n/a and
+    // this T stays out of the plot.
+    std::optional<double> max, p99, mean;
+    if (const Samples& last = agg.t_last_colored; !last.empty()) {
+      max = last.max();
+      p99 = last.quantile(0.99);
+      mean = last.mean();
+      sim_pts.emplace_back(static_cast<double>(T), *max);
+    }
     table.add_row(
         {Table::cell("%lld", static_cast<long long>(T)),
          Table::cell("%lld", static_cast<long long>(pred)),
-         Table::cell("%.0f", agg.t_last_colored.max()),
-         Table::cell("%.0f", agg.t_last_colored.quantile(0.99)),
-         Table::cell("%.1f", agg.t_last_colored.mean()),
+         Table::cell_or_na("%.0f", max), Table::cell_or_na("%.0f", p99),
+         Table::cell_or_na("%.1f", mean),
          Table::cell("%lld/%lld", static_cast<long long>(agg.all_colored_trials),
                      static_cast<long long>(agg.trials))});
   }

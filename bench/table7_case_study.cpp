@@ -43,6 +43,8 @@ int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
   const auto n = flags.get_count("n", 4096);
+  flags.require(n >= 4, "n",
+                "an integer >= 4 (f_hat = 3 pre-failed nodes beside the root)");
   const int trials = flags.get_count("trials", 200);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const double eps = bench::eps_flag(flags, paper_eps());

@@ -9,16 +9,24 @@
 #         -DFIG3_OCG_TUNING=<bin> -DFIG5_CCG_TUNING=<bin> -DFIG9_FCG_TUNING=<bin>
 #         -DFIG7A_SCALING=<bin> -DFIG7B_SCALING_FAILURES=<bin>
 #         -DTABLE7_CASE_STUDY=<bin> -DABLATION_MARGIN=<bin>
+#         -DEXT_CONCURRENT=<bin> -DEXT_PUSH_PULL=<bin> -DEXT_ALLREDUCE=<bin>
+#         -DEXT_HIERARCHICAL=<bin> -DABLATION_CHAIN_CORRECTION=<bin>
+#         -DABLATION_FCG_F=<bin> -DABLATION_JITTER=<bin>
+#         -DABLATION_MESSAGE_LOSS=<bin> -DABLATION_RX_POLICY=<bin>
 #         -P flag_fuzz.cmake
+#
+# 1, 2 and 3 reach the small counts (one node, a root and one peer, fewer
+# nodes than a driver's failures) that the hostile values never do.
 #
 # --shards and --threads get no valid value above 8: a multi-shard run asks
 # the thread pool for one thread per shard.  2^63 is rejected before any
 # thread starts (both flags stop at kMaxThreads, common/flags.hpp).
-set(values "-1" "0" "" "9223372036854775808" "abc")
+set(values "-1" "0" "1" "2" "3" "" "9223372036854775808" "abc")
 set(pool_values "-1" "0" "" "abc" "8" "9223372036854775808")
 set(base --n=64 --trials=1)
 set(fig7a_scaling_base --max-n=64 --trials=1)
 set(fig7b_scaling_failures_base --max-n=64 --trials=1)
+set(ext_allreduce_base --max-n=64 --trials=1)
 
 set(cgsim_flags
     n l o eps f pre-fail online-fail seed trials jitter drop-prob drop
@@ -58,13 +66,34 @@ set(table7_case_study_flags n trials seed eps)
 set(table7_case_study_pool_flags threads)
 set(ablation_margin_flags n trials seed eps)
 set(ablation_margin_pool_flags threads)
+set(ext_concurrent_flags n trials seed)
+set(ext_concurrent_pool_flags)
+set(ext_push_pull_flags n trials seed)
+set(ext_push_pull_pool_flags)
+set(ext_allreduce_flags max-n trials seed)
+set(ext_allreduce_pool_flags)
+set(ext_hierarchical_flags n rack seed trials)
+set(ext_hierarchical_pool_flags)
+set(ablation_chain_correction_flags n trials seed)
+set(ablation_chain_correction_pool_flags threads)
+set(ablation_fcg_f_flags n trials seed)
+set(ablation_fcg_f_pool_flags threads)
+set(ablation_jitter_flags n trials seed)
+set(ablation_jitter_pool_flags threads)
+set(ablation_message_loss_flags n trials seed)
+set(ablation_message_loss_pool_flags)
+set(ablation_rx_policy_flags n trials seed)
+set(ablation_rx_policy_pool_flags threads)
 
 set(failures "")
 set(runs 0)
 foreach(prog cgsim tuning_advisor failure_drill trace_ring fault_campaign
              membership_monitor bsp_convergence quickstart fig1_coloring
              fig3_ocg_tuning fig5_ccg_tuning fig9_fcg_tuning fig7a_scaling
-             fig7b_scaling_failures table7_case_study ablation_margin)
+             fig7b_scaling_failures table7_case_study ablation_margin
+             ext_concurrent ext_push_pull ext_allreduce ext_hierarchical
+             ablation_chain_correction ablation_fcg_f ablation_jitter
+             ablation_message_loss ablation_rx_policy)
   string(TOUPPER "${prog}" var)
   set(bin "${${var}}")
   set(prog_base ${base})

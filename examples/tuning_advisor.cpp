@@ -23,6 +23,8 @@ int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
   const auto n = flags.get_count("n", 4096);
+  flags.require(n >= 2, "n",
+                "an integer >= 2 (one node has nothing to broadcast to)");
   const auto active = static_cast<NodeId>(flags.get_int_in("active", n, 1, n));
   const LogP logp = logp_from_flags(flags);
   const double runs = flags.get_double("runs", 1e6);

@@ -4,9 +4,12 @@
 //   1. GATHER: arrival notifications aggregate up a binomial tree rooted
 //      at the coordinator (ranks relative to it) - each node acks its
 //      parent once it has arrived and every child subtree has acked.
-//   2. RELEASE: the coordinator runs a full corrected-gossip broadcast
-//      (gossip + checked ring correction via CcgCore): release messages
-//      carry the release step so receivers can align their phase windows.
+//   2. RELEASE: the coordinator runs a full corrected-gossip broadcast:
+//      one stock CcgNode per node (gossip/ccg.hpp), hosted through the
+//      session layer's SessionCtx on the release clock (now - release
+//      step), with the coordinator as root.  Release messages carry the
+//      release step as their stamp, so a receiver's first one puts it on
+//      that clock.
 //
 // The barrier property - NO node releases before EVERY node arrived - is
 // structural: the release broadcast starts only after the gather completed.
@@ -15,12 +18,13 @@
 // arrival plus one tree depth.
 #pragma once
 
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "baselines/bfb.hpp"  // binomial tree helpers
 #include "common/check.hpp"
 #include "common/types.hpp"
+#include "gossip/ccg.hpp"
 #include "session/multibcast.hpp"
 
 namespace cg {
@@ -39,8 +43,7 @@ class BarrierNode {
         rank_(static_cast<NodeId>(
             (static_cast<std::int64_t>(self) - p.coordinator + n) % n)),
         children_(bfb_children(rank_, n)),
-        release_core_(BcastPlan{p.coordinator, kNever / 4, p.T_release},
-                      self, n) {
+        release_(session_ccg_params(p.T_release), self, n) {
     CG_CHECK(p.T_release >= 0);
   }
 
@@ -66,8 +69,8 @@ class BarrierNode {
     }
     // Release traffic: messages carry the release step so this node can
     // align its gossip/correction windows with the coordinator's clock.
-    if (!armed_) arm(m.time);
-    release_core_.on_receive(ctx.now(), m);
+    arm(ctx, m.time);
+    release_ctx(ctx).receive(release_, m);
     maybe_release(ctx);
   }
 
@@ -82,7 +85,7 @@ class BarrierNode {
       if (rank_ == 0) {
         // Coordinator: everyone arrived; start the release broadcast one
         // step from now.
-        arm(now + 1);
+        arm(ctx, now + 1);
       } else {
         Message m;
         m.tag = Tag::kAck;
@@ -93,15 +96,8 @@ class BarrierNode {
 
     // --- release phase ---
     if (armed_) {
-      if (auto intent =
-              release_core_.poll_send(now, ctx.logp(), ctx.rng())) {
-        Message m;
-        m.tag = intent->tag;
-        m.time = release_start_;
-        ctx.send(intent->to, m);
-      }
+      release_ctx(ctx).offer_slot(release_);
       maybe_release(ctx);
-      if (release_core_.finished() && released_at_ != kNever) ctx.complete();
     }
   }
 
@@ -115,22 +111,31 @@ class BarrierNode {
         (static_cast<std::int64_t>(rank) + p_.coordinator) % n_);
   }
 
-  void arm(Step start) {
+  template <class Ctx>
+  SessionCtx<Ctx> release_ctx(Ctx& ctx) {
+    return {ctx, p_.coordinator, release_start_, release_start_,
+            release_done_};
+  }
+
+  /// Put this node on the release clock starting at `start`; the
+  /// coordinator's on_start colors it as the release's root.
+  template <class Ctx>
+  void arm(Ctx& ctx, Step start) {
     if (armed_) return;
     armed_ = true;
     release_start_ = start;
-    release_core_ =
-        CcgCore(BcastPlan{p_.coordinator, start, p_.T_release}, self_, n_);
+    auto rctx = release_ctx(ctx);
+    release_.on_start(rctx);
   }
 
   template <class Ctx>
   void maybe_release(Ctx& ctx) {
-    if (released_at_ == kNever && release_core_.colored()) {
+    if (released_at_ == kNever && release_.colored()) {
       released_at_ = ctx.now();
       ctx.mark_colored();
       ctx.deliver();
     }
-    if (released_at_ != kNever && release_core_.finished()) ctx.complete();
+    if (release_done_) ctx.complete();
   }
 
   Params p_;
@@ -143,7 +148,8 @@ class BarrierNode {
   bool acked_ = false;
   bool armed_ = false;
   Step release_start_ = 0;
-  CcgCore release_core_;
+  CcgNode release_;
+  bool release_done_ = false;
   Step released_at_ = kNever;
 };
 

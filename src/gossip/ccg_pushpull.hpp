@@ -4,21 +4,21 @@
 // tuned end-to-end latency drops below plain CCG's (bench/ext_push_pull
 // --corrected): pulls trade extra gossip-phase messages for steps of T.
 //
-// Mechanics: during [0, T) colored nodes push (answering pending pull
-// requests first), uncolored nodes pull; whoever holds the payload when
-// the correction window opens is a g-node and runs the standard checked
-// ring sweep of ccg.hpp.  Tuning goes through the push-pull coloring
+// Mechanics: the node is a PushPullNode for steps before T and the stock
+// CcgNode (Algorithm 2) after it.  During [0, T) colored nodes push
+// (answering pending pull requests first), uncolored nodes pull; whoever
+// holds the payload when the correction window opens is a g-node and runs
+// ccg.hpp's checked ring sweep.  Both halves see on_start and every
+// payload or correction receive, so they agree on the coloring (the
+// engine's marks are idempotent); a pull request arriving at or after T
+// is dropped unanswered.  Tuning goes through the push-pull coloring
 // forecast: tune_ccg_pushpull() below.
 #pragma once
 
-#include <algorithm>
-#include <deque>
-
 #include "analysis/chain.hpp"
-#include "common/ring.hpp"
 #include "common/types.hpp"
+#include "gossip/ccg.hpp"
 #include "gossip/push_pull.hpp"
-#include "gossip/timing.hpp"
 #include "proto/message.hpp"
 
 namespace cg {
@@ -33,112 +33,49 @@ class CcgPushPullNode {
   };
 
   CcgPushPullNode(const Params& p, NodeId self, NodeId n)
-      : p_(p), self_(self), ring_(n) {}
+      : T_(p.T),
+        push_pull_({.T = p.T, .pull = true, .pending_cap = p.pending_cap},
+                   self, n),
+        ccg_(ccg_params(p.T), self, n) {}
 
   template <class Ctx>
   void on_start(Ctx& ctx) {
-    if (ctx.is_root()) {
-      colored_ = true;
-      g_node_ = true;
-      ctx.mark_colored();
-      ctx.deliver();
-      if (ring_.size() == 1) ctx.complete();
-    } else {
-      ctx.activate();  // uncolored nodes pull from step 1
-    }
+    push_pull_.on_start(ctx);  // uncolored nodes pull from step 1
+    ccg_.on_start(ctx);
   }
 
   template <class Ctx>
   void on_receive(Ctx& ctx, const Message& m) {
     if (m.tag == Tag::kPullReq) {
-      if (colored_ && ctx.now() < p_.T) {
-        if (pending_.size() <
-            static_cast<std::size_t>(std::max(p_.pending_cap, 0))) {
-          pending_.push_back(m.src);
-        } else {
-          ctx.note_dropped();  // backpressure: request silently shed
-        }
-      }
+      if (ctx.now() < T_) push_pull_.on_receive(ctx, m);
       return;
     }
-    if (!colored_) {
-      colored_ = true;
-      ctx.mark_colored();
-      ctx.deliver();
-      if (m.tag == Tag::kGossip) {
-        g_node_ = true;
-      } else {
-        ctx.complete();  // c-node (colored by a ring-correction message)
-        return;
-      }
-    }
-    if (!g_node_) return;
-    if (m.tag == Tag::kBwd) {
-      m_fwd_ = std::min<Step>(m_fwd_, ring_.dist_fwd(self_, m.src));
-    } else if (m.tag == Tag::kFwd) {
-      m_bwd_ = std::min<Step>(m_bwd_, ring_.dist_bwd(self_, m.src));
-    }
+    push_pull_.on_receive(ctx, m);
+    ccg_.on_receive(ctx, m);
   }
 
   template <class Ctx>
   void on_tick(Ctx& ctx) {
-    const Step now = ctx.now();
-    if (now < p_.T) {
-      Message m;
-      if (colored_) {
-        m.tag = Tag::kGossip;
-        if (!pending_.empty()) {
-          const NodeId asker = pending_.front();
-          pending_.pop_front();
-          if (asker != self_) {
-            ctx.send(asker, m);
-            return;
-          }
-        }
-        ctx.send(ctx.rng().other_node(self_, ring_.size()), m);
-      } else {
-        m.tag = Tag::kPullReq;
-        ctx.send(ctx.rng().other_node(self_, ring_.size()), m);
-      }
-      return;
+    if (ctx.now() < T_) {
+      push_pull_.on_tick(ctx);
+    } else if (ccg_.colored()) {  // uncolored: wait for the sweep
+      ccg_.on_tick(ctx);
     }
-    if (!colored_) return;  // wait for the sweep to reach us
-    if (now < corr_start(p_.T, ctx.logp())) return;
-
-    // Standard CCG alternating ring sweep (see ccg.hpp).
-    const Dir dir = (slot_ % 2 == 0) ? Dir::kFwd : Dir::kBwd;
-    ++slot_;
-    bool& sending = dir == Dir::kFwd ? s_fwd_ : s_bwd_;
-    const Step nearest = dir == Dir::kFwd ? m_fwd_ : m_bwd_;
-    if (sending && off_ > nearest) sending = false;
-    if (sending) {
-      const NodeId target = ring_.step(self_, dir, off_);
-      if (target != self_) {
-        Message m;
-        m.tag = dir_tag(dir);
-        ctx.send(target, m);
-      }
-    }
-    if (dir == Dir::kBwd) ++off_;
-    if (off_ >= ring_.size() || (!s_fwd_ && !s_bwd_)) ctx.complete();
   }
 
-  bool colored() const { return colored_; }
-  bool is_g_node() const { return g_node_; }
+  bool colored() const { return ccg_.colored(); }
+  bool is_g_node() const { return ccg_.is_g_node(); }
 
  private:
-  Params p_;
-  NodeId self_;
-  Ring ring_;
-  bool colored_ = false;
-  bool g_node_ = false;
-  bool s_fwd_ = true;
-  bool s_bwd_ = true;
-  Step m_fwd_ = kNever;
-  Step m_bwd_ = kNever;
-  Step off_ = 1;
-  Step slot_ = 0;
-  std::deque<NodeId> pending_;
+  static CcgNode::Params ccg_params(Step T) {
+    CcgNode::Params p;
+    p.T = T;
+    return p;
+  }
+
+  Step T_;
+  PushPullNode push_pull_;
+  CcgNode ccg_;
 };
 
 /// K_bar and T_opt for the push-pull phase (Eq. 2-4 machinery over the

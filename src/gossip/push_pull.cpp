@@ -11,7 +11,10 @@ std::vector<double> pushpull_expected_colored(NodeId N, NodeId n_active,
                                               Step T, const LogP& logp,
                                               Step t_max) {
   CG_CHECK(N >= 1 && n_active >= 1 && n_active <= N);
-  std::vector<double> c(static_cast<std::size_t>(t_max) + 1, 0.0);
+  // The root is colored at step 0 and stays colored; at N = 1 it is the
+  // whole system, so c(t) = 1 for every t.
+  std::vector<double> c(static_cast<std::size_t>(t_max) + 1,
+                        N == 1 ? 1.0 : 0.0);
   c[0] = 1.0;
   if (N == 1) return c;
   const double n = static_cast<double>(n_active);

@@ -1,34 +1,88 @@
 // Concurrent broadcast sessions: several roots broadcast at once over the
-// same nodes, multiplexed onto the shared LogP injection capacity (one
-// message per node per step TOTAL, not per broadcast).
+// same nodes, sharing each node's LogP injection capacity (one message per
+// node per step in TOTAL, not per broadcast) - the situation an MPI-style
+// runtime faces, which the paper handles through Claim 1's per-root
+// counters.
 //
-// This is the situation a communication library actually faces (the paper
-// targets MPI-style runtimes and handles it abstractly through Claim 1's
-// per-root counters).  Each in-flight broadcast runs an independent
-// checked-corrected-gossip instance; a node's per-step send slot is
-// arbitrated round-robin across its unfinished instances.  CCG's stop
-// rules are pull-tolerant - they depend only on WHICH offsets have been
-// covered and the min over received stop signals, not on synchronized
-// slots - so correctness survives arbitrary send-slot delays; only
-// latency stretches with the number of concurrent broadcasts
-// (bench/ext_concurrent quantifies the scaling).
-//
-// Messages are tagged with (root, seq) stamps; stale duplicates are
-// filtered per Claim 1 semantics by instance lookup.
+// Each broadcast runs the stock CcgNode (gossip/ccg.hpp, Algorithm 2)
+// behind a SessionCtx that gives it the broadcast's own clock, root and
+// stamp (Message::time = the broadcast's index).  A node's send slot goes
+// round-robin to its started, unfinished broadcasts; unknown stamps and
+// finished broadcasts are ignored.  CCG's stop rules depend only on which
+// offsets were covered and on the stop signals received, not on the slot
+// schedule, so every broadcast still reaches every node; only latency
+// stretches with the number of broadcasts (bench/ext_concurrent).  With
+// one plan a session IS CCG: the same trace as Engine<CcgNode>.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "gossip/timing.hpp"
+#include "gossip/ccg.hpp"
 #include "proto/message.hpp"
 #include "sim/logp.hpp"
 
 namespace cg {
+
+/// The context a hosted CcgNode sees: the host's context on the
+/// broadcast's own clock (now - start), with the broadcast's root, and its
+/// stamp written into Message::time on every send.  mark_colored() and
+/// deliver() are no-ops - the host reads colored() and marks the node
+/// itself - and complete() only records, in `done`, that the broadcast
+/// finished here.
+template <class Ctx>
+class SessionCtx {
+ public:
+  SessionCtx(Ctx& ctx, NodeId root, Step start, Step stamp, bool& done)
+      : ctx_(ctx), root_(root), start_(start), stamp_(stamp), done_(done) {}
+
+  Step now() const { return ctx_.now() - start_; }
+  bool is_root() const { return ctx_.self() == root_; }
+  const LogP& logp() const { return ctx_.logp(); }
+  Xoshiro256& rng() { return ctx_.rng(); }
+  void send(NodeId to, Message m) {
+    m.time = stamp_;
+    ctx_.send(to, m);
+    sent_ = true;
+  }
+  void activate() { ctx_.activate(); }
+  void mark_colored() {}
+  void deliver() {}
+  void complete() { done_ = true; }
+
+  /// Route a receive to `node` unless its broadcast finished here.
+  template <class Node>
+  void receive(Node& node, const Message& m) {
+    if (!done_) node.on_receive(*this, m);
+  }
+
+  /// Offer the node's send slot to `node`; sent() says if it took it.
+  /// Only a colored, unfinished broadcast that has started (now() >= 1,
+  /// when a root first emits) is ticked, as an engine ticks a CcgNode.
+  template <class Node>
+  void offer_slot(Node& node) {
+    if (!done_ && node.colored() && now() >= 1) node.on_tick(*this);
+  }
+  bool sent() const { return sent_; }
+
+ private:
+  Ctx& ctx_;
+  NodeId root_;
+  Step start_;
+  Step stamp_;
+  bool& done_;
+  bool sent_ = false;
+};
+
+/// A hosted broadcast's CcgNode parameters: Algorithm 2 with gossip
+/// length T, no drain margin and no reliable sublayer.
+inline CcgNode::Params session_ccg_params(Step T) {
+  CcgNode::Params p;
+  p.T = T;
+  return p;
+}
 
 /// One broadcast to run within a session.
 struct BcastPlan {
@@ -37,176 +91,84 @@ struct BcastPlan {
   Step T = 0;      ///< gossip duration: emissions while now < start + T
 };
 
-/// Per-(node, broadcast) checked-corrected-gossip core in pull style:
-/// receives are pushed in; sends are produced on demand when the host
-/// grants this instance the node's send slot.
-class CcgCore {
- public:
-  CcgCore(const BcastPlan& plan, NodeId self, NodeId n)
-      : plan_(plan), self_(self), ring_(n) {
-    if (self == plan.root) {
-      colored_ = true;
-      g_node_ = true;
-      if (n == 1) done_ = true;
-    }
-  }
-
-  struct SendIntent {
-    NodeId to;
-    Tag tag;
-  };
-
-  void on_receive(Step /*now*/, const Message& m) {
-    if (done_ && !g_node_) return;
-    if (!colored_) {
-      colored_ = true;
-      if (m.tag == Tag::kGossip) {
-        g_node_ = true;
-      } else {
-        done_ = true;  // c-node: delivered, never sends
-        return;
-      }
-    }
-    if (!g_node_) return;
-    if (m.tag == Tag::kBwd) {
-      m_fwd_ = std::min<Step>(m_fwd_, ring_.dist_fwd(self_, m.src));
-    } else if (m.tag == Tag::kFwd) {
-      m_bwd_ = std::min<Step>(m_bwd_, ring_.dist_bwd(self_, m.src));
-    }
-  }
-
-  /// Offered the node's send slot at step `now`; returns the message this
-  /// instance wants to emit, or nullopt (slot passes to the next one).
-  std::optional<SendIntent> poll_send(Step now, const LogP& logp,
-                                      Xoshiro256& rng) {
-    if (done_ || !colored_ || !g_node_) return std::nullopt;
-    if (now < plan_.start + 1) return std::nullopt;
-    if (now < plan_.start + plan_.T) {
-      return SendIntent{rng.other_node(self_, ring_.size()), Tag::kGossip};
-    }
-    if (now < corr_start(plan_.start + plan_.T, logp)) return std::nullopt;
-
-    // Correction sweep; slots advance only when this instance actually
-    // gets to act, so contention stretches time but never skips offsets.
-    while (s_fwd_ || s_bwd_) {
-      const Dir dir = (slot_ % 2 == 0) ? Dir::kFwd : Dir::kBwd;
-      ++slot_;
-      bool& sending = dir == Dir::kFwd ? s_fwd_ : s_bwd_;
-      const Step nearest = dir == Dir::kFwd ? m_fwd_ : m_bwd_;
-      if (sending && off_ > nearest) sending = false;
-      std::optional<SendIntent> out;
-      if (sending) {
-        const NodeId target = ring_.step(self_, dir, off_);
-        if (target != self_) out = SendIntent{target, dir_tag(dir)};
-      }
-      if (dir == Dir::kBwd) ++off_;
-      if (off_ >= ring_.size() || (!s_fwd_ && !s_bwd_)) done_ = true;
-      if (out) return out;
-      if (done_) break;
-      // A skipped direction slot costs nothing here: unlike the
-      // synchronous engine there is no dedicated O to burn, the slot
-      // belongs to whichever instance can use it.
-    }
-    done_ = true;
-    return std::nullopt;
-  }
-
-  bool colored() const { return colored_; }
-  bool is_g_node() const { return g_node_; }
-  bool finished() const { return done_; }
-
- private:
-  BcastPlan plan_;
-  NodeId self_;
-  Ring ring_;
-  bool colored_ = false;
-  bool g_node_ = false;
-  bool done_ = false;
-  bool s_fwd_ = true;
-  bool s_bwd_ = true;
-  Step m_fwd_ = kNever;
-  Step m_bwd_ = kNever;
-  Step off_ = 1;
-  Step slot_ = 0;
-};
-
-/// Engine protocol hosting one CcgCore per planned broadcast.
+/// Engine protocol hosting one CcgNode per planned broadcast.
 class MultiBcastNode {
  public:
   struct Params {
     std::vector<BcastPlan> plans;
   };
 
-  MultiBcastNode(const Params& p, NodeId self, NodeId n) : self_(self) {
+  MultiBcastNode(const Params& p, NodeId self, NodeId n) {
     CG_CHECK(!p.plans.empty());
-    CG_CHECK(p.plans.size() <= 64);  // stamp fits Message::time's low bits
-    cores_.reserve(p.plans.size());
-    for (const auto& plan : p.plans) cores_.emplace_back(plan, self, n);
+    bcasts_.reserve(p.plans.size());
+    for (const auto& plan : p.plans) bcasts_.emplace_back(plan, self, n);
   }
 
   template <class Ctx>
   void on_start(Ctx& ctx) {
-    bool any_root = false;
-    for (const auto& core : cores_) {
-      if (core.is_g_node()) any_root = true;
-    }
-    if (any_root) ctx.activate();
-    refresh_marks(ctx);
+    for (std::size_t i = 0; i < bcasts_.size(); ++i)
+      host(ctx, i, [](auto& s, CcgNode& node) { node.on_start(s); });
   }
 
   template <class Ctx>
   void on_receive(Ctx& ctx, const Message& m) {
-    const auto idx = static_cast<std::size_t>(m.time & 0x3F);
-    if (idx >= cores_.size()) return;  // unknown session (stale/foreign)
-    cores_[idx].on_receive(ctx.now(), m);
-    refresh_marks(ctx);
+    if (m.time < 0 || m.time >= static_cast<Step>(bcasts_.size()))
+      return;  // unknown session (stale/foreign)
+    host(ctx, static_cast<std::size_t>(m.time),
+         [&](auto& s, CcgNode& node) { s.receive(node, m); });
   }
 
   template <class Ctx>
   void on_tick(Ctx& ctx) {
-    // Round-robin the node's single send slot across unfinished cores.
-    const std::size_t k = cores_.size();
+    // Round-robin the node's single send slot; a broadcast that passes
+    // (drain window, skipped direction slot) hands it to the next one.
+    const std::size_t k = bcasts_.size();
     for (std::size_t probe = 0; probe < k; ++probe) {
       const std::size_t i = (rr_ + probe) % k;
-      if (cores_[i].finished()) continue;
-      if (auto intent = cores_[i].poll_send(ctx.now(), ctx.logp(), ctx.rng())) {
-        Message m;
-        m.tag = intent->tag;
-        m.time = static_cast<Step>(i);  // session stamp
-        ctx.send(intent->to, m);
+      if (host(ctx, i, [](auto& s, CcgNode& node) { s.offer_slot(node); })) {
         rr_ = i + 1;  // fairness: next slot starts after the sender
-        refresh_marks(ctx);
         return;
       }
     }
-    refresh_marks(ctx);
-    bool all_done = true;
-    for (const auto& core : cores_) {
-      if (!core.finished()) {
-        all_done = false;
-        break;
-      }
-    }
-    if (all_done) ctx.complete();
   }
 
-  const CcgCore& core(std::size_t i) const { return cores_[i]; }
-  std::size_t core_count() const { return cores_.size(); }
+  const CcgNode& core(std::size_t i) const { return bcasts_[i].node; }
 
  private:
-  template <class Ctx>
-  void refresh_marks(Ctx& ctx) {
-    // Engine-level "colored"/"delivered" = every broadcast arrived.
-    for (const auto& core : cores_) {
-      if (!core.colored()) return;
+  struct Bcast {
+    Bcast(const BcastPlan& plan, NodeId self, NodeId n)
+        : root(plan.root),
+          start(plan.start),
+          node(session_ccg_params(plan.T), self, n) {}
+
+    NodeId root;
+    bool done = false;
+    Step start;
+    CcgNode node;
+  };
+
+  /// Run `call(session ctx, node)` on broadcast i; true if it sent.  The
+  /// node is marked colored and delivered once every broadcast colored it,
+  /// and completes once every broadcast finished here.
+  template <class Ctx, class Call>
+  bool host(Ctx& ctx, std::size_t i, Call&& call) {
+    Bcast& b = bcasts_[i];
+    const bool was_colored = b.node.colored();
+    const bool was_done = b.done;
+    SessionCtx<Ctx> sctx(ctx, b.root, b.start, static_cast<Step>(i), b.done);
+    call(sctx, b.node);
+    if (!was_colored && b.node.colored() && ++colored_ == bcasts_.size()) {
+      ctx.mark_colored();
+      ctx.deliver();
     }
-    ctx.mark_colored();
-    ctx.deliver();
+    if (!was_done && b.done && ++done_ == bcasts_.size()) ctx.complete();
+    return sctx.sent();
   }
 
-  NodeId self_;
-  std::vector<CcgCore> cores_;
+  std::vector<Bcast> bcasts_;
   std::size_t rr_ = 0;
+  std::size_t colored_ = 0;  ///< broadcasts that colored this node
+  std::size_t done_ = 0;     ///< broadcasts finished here
 };
 
 }  // namespace cg

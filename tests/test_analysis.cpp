@@ -87,6 +87,17 @@ TEST(Coloring, GossipTimeForTarget) {
   EXPECT_GE(gossip_time_for_target(1024, 1024, 0.01, LogP::unit()), T);
 }
 
+TEST(Coloring, SingleNodeStaysColored) {
+  // At N = 1 the root is the whole system: c(t) = 1 for every t, so any
+  // gossip target is met at the first candidate T.
+  for (const LogP& logp : {LogP::unit(), LogP::piz_daint()}) {
+    for (const double c : expected_colored(1, 1, 5, logp, 30))
+      EXPECT_DOUBLE_EQ(c, 1.0);
+    EXPECT_DOUBLE_EQ(colored_at_corr_start(1, 1, 7, logp), 1.0);
+    EXPECT_EQ(gossip_time_for_target(1, 1, 0.5, logp), 1);
+  }
+}
+
 // ---------------------------------------------------------------- chain --
 
 TEST(Chain, SumsToOne) {

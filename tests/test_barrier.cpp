@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
 
+#include "canonical_run.hpp"
 #include "collectives/barrier.hpp"
 #include "sim/engine.hpp"
 
@@ -112,6 +115,40 @@ TEST_P(BarrierSweep, PropertyHoldsAcrossSizesAndSeeds) {
   EXPECT_FALSE(out.metrics.hit_max_steps);
   // Release spread is the corrected-gossip dissemination window, not O(N).
   EXPECT_LT(out.last_release - out.first_release, 3 * 12 + 40);
+}
+
+// Random sizes, arrivals, coordinators and release lengths under jitter
+// and both receive policies: byte-identical on both engines.
+TEST(Barrier, ShardedByteParity) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 gen(seed * 0x9E3779B97F4A7C15ull);
+    auto pick = [&](int lo, int hi) {  // inclusive
+      return lo + static_cast<int>(gen() % static_cast<unsigned>(hi - lo + 1));
+    };
+    const NodeId n = pick(2, 160);
+    auto arrivals = std::make_shared<std::vector<Step>>(
+        static_cast<std::size_t>(n));
+    for (auto& a : *arrivals) a = pick(0, 20);
+    BarrierNode::Params p;
+    p.coordinator = pick(0, n - 1);
+    p.T_release = pick(4, 14);
+    p.arrivals = arrivals;
+    RunConfig cfg;
+    cfg.n = n;
+    cfg.root = p.coordinator;
+    cfg.logp = pick(0, 1) != 0 ? LogP::piz_daint() : LogP::unit();
+    cfg.seed = seed;
+    cfg.jitter_max = pick(0, 2);
+    cfg.rx = pick(0, 1) != 0 ? RxPolicy::kOnePerStep : RxPolicy::kDrainAll;
+    const CanonicalRun stepped = run_canonical<BarrierNode>(cfg, p, 0);
+    for (const int shards : {2, 3}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " shards=" + std::to_string(shards));
+      const CanonicalRun sharded = run_canonical<BarrierNode>(cfg, p, shards);
+      EXPECT_EQ(sharded.metrics, stepped.metrics);
+      EXPECT_EQ(sharded.trace, stepped.trace);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,8 +2,11 @@
 // send-slot budget.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/coloring.hpp"
 #include "analysis/tuning.hpp"
+#include "canonical_run.hpp"
 #include "gossip/ccg.hpp"
 #include "gossip/ccg_pushpull.hpp"
 #include "gossip/push_pull.hpp"
@@ -72,6 +75,11 @@ TEST(PushPull, ForecastIsSane) {
     EXPECT_LE(c[i], 512.0);
     EXPECT_GE(c[i] + 1e-9, push[i]);
   }
+}
+
+TEST(PushPull, ForecastKeepsASingleNodeColored) {
+  for (const double c : pushpull_expected_colored(1, 1, 5, LogP::unit(), 30))
+    EXPECT_DOUBLE_EQ(c, 1.0);
 }
 
 TEST(PushPull, UncoloredNodesSendOnlyRequests) {
@@ -156,6 +164,28 @@ TEST(CcgPushPull, TunedLatencyBeatsPlainCcg) {
     }
   }
   EXPECT_LT(lat_pp, lat_push);
+}
+
+// Drops, both receive policies and answer backlogs of 0-4 (a cap of 0
+// sheds every request): byte-identical on both engines, msgs_dropped
+// included.
+TEST(CcgPushPull, ShardedByteParity) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    CcgPushPullNode::Params p;
+    p.T = 10 + static_cast<Step>((seed / 5) % 4);
+    p.pending_cap = static_cast<int>(seed % 5);
+    RunConfig cfg;
+    cfg.n = 100 + static_cast<NodeId>(seed);
+    cfg.logp = LogP::unit();
+    cfg.seed = seed;
+    cfg.drop_prob = seed % 2 != 0 ? 0.02 : 0.0;
+    cfg.rx = (seed / 2) % 2 != 0 ? RxPolicy::kOnePerStep : RxPolicy::kDrainAll;
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const CanonicalRun stepped = run_canonical<CcgPushPullNode>(cfg, p, 0);
+    const CanonicalRun sharded = run_canonical<CcgPushPullNode>(cfg, p, 2);
+    EXPECT_EQ(sharded.metrics, stepped.metrics);
+    EXPECT_EQ(sharded.trace, stepped.trace);
+  }
 }
 
 TEST(CcgPushPull, SurvivesPreFailures) {
