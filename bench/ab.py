@@ -10,15 +10,17 @@ kept between invocations so its perfbench build is reused), then runs
 each side's own `perfbench/run.py --workload W --seed S`, alternating the
 sides and flipping which goes first in every pair.  Prints, per workload
 and end-to-end metric, each side's median and IQR, the pairs the working
-tree won, and whether the claim rule holds: at least 9 of 10 pairs won
-(the same share for other pair counts) and a median gap larger than the
-parent's IQR.  Also prints every run's broadcasts_per_s (whether every
-change run beat every parent run needs the runs, not the quartiles), its
-load and steal share from its environment stamp, warning when the host
-looked busy, and the address mod 64 and size (`nm -C -S`) of the hot
-functions in both binaries: the pinned loops, and the stepped engine's
-dispatch and do_send, whose inlining moves with unrelated changes (a
-function GCC inlined is reported as absent).
+tree won, whether the claim rule holds (at least 9 of 10 pairs won, the
+same share for other pair counts, and a median gap larger than the
+parent's IQR), and whether the sides' runs are separated: every change
+run better than every parent run, which is what a metric whose spread
+exceeds its bound needs to count as no worse.  Also prints every run's
+broadcasts_per_s and setup_s, its load and steal share from its
+environment stamp, warning when the host looked busy, and the address
+mod 64 and size (`nm -C -S`) of the hot functions in both binaries: the
+pinned loops, and the stepped engine's dispatch and do_send and the
+calendar's slot merge, whose inlining and placement move with unrelated
+changes (a function GCC inlined is reported as absent).
 
 Writes nothing inside the repository except what perfbench/run.py itself
 builds (.bench_build/).  Exit status: 0, or 1 when a run fails.
@@ -39,6 +41,8 @@ HOT_LOOPS = (
     "cg::Engine<cg::CcgNode>::do_send(int, int, cg::Message const&)",
     "cg::ShardedEngine<cg::CcgNode>::run_window(int, long, long)",
     "cg::ShardedEngine<cg::SbrbNode>::run_window(int, long, long)",
+    "cg::SlotMerger::order(std::vector<cg::CalRecord, "
+    "cg::HugePageAllocator<cg::CalRecord> >&)",
 )
 # A run is flagged as taken on a busy host when the 1-minute load before it
 # came within BUSY_LOAD_SPARE of the vCPU count (the previous run's own
@@ -172,16 +176,18 @@ def main():
                 result, env = run_side(sides[side], workload, args.seed)
                 runs[side].append((result, env))
                 load, steal, busy, flag = host_note(env)
-                print("pair %2d %-6s broadcasts_per_s=%.4g failed=%d "
-                      "load=%.2f steal=%.1f%% busy=%.0f%%%s" % (
+                print("pair %2d %-6s broadcasts_per_s=%.4g setup_s=%.4g "
+                      "failed=%d load=%.2f steal=%.1f%% busy=%.0f%%%s" % (
                           i + 1, side,
                           result["metrics"]["broadcasts_per_s"]["value"],
+                          result["metrics"]["setup_s"]["value"],
                           result["failed"], load, 100 * steal, 100 * busy,
                           "  WARNING: host busy" if flag else ""),
                       flush=True)
 
-        print("\n%-22s %12s %9s %12s %9s %6s %9s  %s" % (
+        print("\n%-22s %12s %9s %12s %9s %6s %9s %9s  %s" % (
             "metric", "parent", "IQR", "change", "IQR", "won", "delta",
+            "separated",
             "claim (>= %d of %d won, gap > parent IQR)" % (need, args.pairs)))
         for metric in better:
             vals = {s: [r["metrics"][metric]["value"] for r, _ in runs[s]]
@@ -193,10 +199,14 @@ def main():
                       if sign * (c - p) > 0)
             delta = (cmed - pmed) / pmed if pmed else 0.0
             holds = won >= need and sign * (cmed - pmed) > pq3 - pq1
+            # Every change run better than every parent run.
+            separated = all(sign * (c - p) > 0 for c in vals["change"]
+                            for p in vals["parent"])
             worse = -sign * delta > bounds[metric]
-            print("%-22s %12.5g %9.3g %12.5g %9.3g %3d/%-2d %+8.1f%%  %s%s" % (
-                metric, pmed, pq3 - pq1, cmed, cq3 - cq1, won, args.pairs,
-                100 * delta, "holds" if holds else "no",
+            print("%-22s %12.5g %9.3g %12.5g %9.3g %3d/%-2d %+8.1f%% %9s  %s%s"
+                  % (metric, pmed, pq3 - pq1, cmed, cq3 - cq1, won, args.pairs,
+                     100 * delta, "yes" if separated else "no",
+                     "holds" if holds else "no",
                 "  WORSE THAN BOUND %.0f%%" % (100 * bounds[metric])
                 if worse else ""))
         rate = "broadcasts_per_s"

@@ -26,8 +26,9 @@ std::vector<double> expected_colored(NodeId N, NodeId n_active, Step T,
     if (emit >= 1 && emit < T && colored_by >= 0)
       senders = c[static_cast<std::size_t>(colored_by)];
     const double prev = c[static_cast<std::size_t>(s - 1)];
+    // 1-(1-1/(N-1))^senders; no senders color nobody (N = 2: miss = -inf)
     const double newly =
-        (n - prev) * (-std::expm1(senders * miss));  // 1-(1-1/(N-1))^senders
+        senders > 0.0 ? (n - prev) * (-std::expm1(senders * miss)) : 0.0;
     c[static_cast<std::size_t>(s)] = std::min(n, prev + newly);
   }
   return c;

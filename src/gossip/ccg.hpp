@@ -15,6 +15,10 @@
 // acked and deduplicated, and a node defers its exit until the sublayer
 // has drained (acks flushed, transactions acked or abandoned).  With it
 // disabled the behavior is bit-identical to the paper's Algorithm 2.
+//
+// One cache line per node (million-node runs are bound by slab misses): no
+// Params copy, only the scalars the callbacks read; seed_colored becomes a
+// bool at reset (only on_start reads it; a revived node never re-runs it).
 #pragma once
 
 #include <algorithm>
@@ -30,7 +34,7 @@
 
 namespace cg {
 
-class CcgNode {
+class alignas(64) CcgNode {
  public:
   struct Params {
     Step T = 0;  ///< gossip stop time
@@ -48,9 +52,12 @@ class CcgNode {
   /// allocations: trial reruns and restarts reuse the node in place
   /// (SoaNodeStore), so replayed CCG+rel trials allocate nothing.
   void reset_for_run(const Params& p, NodeId self, NodeId n) {
-    p_ = p;
+    T_ = p.T;
+    drain_extra_ = p.drain_extra;
     self_ = self;
     ring_ = Ring(n);
+    seeded_ = p.seed_colored &&
+              (*p.seed_colored)[static_cast<std::size_t>(self)] != 0;
     colored_ = false;
     g_node_ = false;
     s_fwd_ = true;
@@ -58,17 +65,14 @@ class CcgNode {
     m_fwd_ = kNever;
     m_bwd_ = kNever;
     off_ = 1;
-    slot_ = 0;
+    bwd_slot_ = false;
     rel_.reset_for_run(p.reliable, self);
     want_complete_ = false;
   }
 
   template <class Ctx>
   void on_start(Ctx& ctx) {
-    const bool seeded =
-        p_.seed_colored &&
-        (*p_.seed_colored)[static_cast<std::size_t>(self_)] != 0;
-    if (ctx.is_root() || seeded) {
+    if (ctx.is_root() || seeded_) {
       colored_ = true;
       g_node_ = true;
       ctx.activate();
@@ -122,18 +126,18 @@ class CcgNode {
       return;
     }
     const Step now = ctx.now();
-    if (now < p_.T) {
+    if (now < T_) {
       ctx.send(ctx.rng().other_node(self_, ring_.size()), plain_gossip_msg(now));
       return;
     }
-    if (now < corr_start(p_.T, ctx.logp()) + p_.drain_extra)
+    if (now < corr_start(T_, ctx.logp()) + drain_extra_)
       return;  // drain window
 
     // One direction slot per step; forward first, then backward, at the
     // same offset before advancing (Algorithm 2 lines 10-17, one send
     // costs O and a skipped slot also waits O per the paper's analysis).
-    const Dir dir = (slot_ % 2 == 0) ? Dir::kFwd : Dir::kBwd;
-    ++slot_;
+    const Dir dir = bwd_slot_ ? Dir::kBwd : Dir::kFwd;
+    bwd_slot_ = !bwd_slot_;
 
     bool& sending = dir == Dir::kFwd ? s_fwd_ : s_bwd_;
     const Step nearest = dir == Dir::kFwd ? m_fwd_ : m_bwd_;
@@ -156,7 +160,7 @@ class CcgNode {
   /// the reliable sublayer on, rel_.on_tick may own the step's slot, so
   /// only the disabled configuration takes the fast path.
   bool in_plain_gossip(Step now) const {
-    return !rel_.enabled() && !want_complete_ && now < p_.T;
+    return !rel_.enabled() && !want_complete_ && now < T_;
   }
 
   bool colored() const { return colored_; }
@@ -187,19 +191,22 @@ class CcgNode {
   void try_complete(Ctx& ctx) {
     if (want_complete_ && rel_.idle()) ctx.complete();
   }
-  Params p_;
+  Step T_ = 0, drain_extra_ = 0;  ///< Params::T and Params::drain_extra
+  Step m_fwd_ = kNever;  ///< distance to nearest g-node ahead (from kBwd msgs)
+  Step m_bwd_ = kNever;  ///< distance to nearest g-node behind (from kFwd msgs)
+  Step off_ = 1;
+  ReliableLink rel_;
   NodeId self_ = 0;
   Ring ring_{1};
+  bool seeded_ = false;  ///< Params::seed_colored names this node
   bool colored_ = false;
   bool g_node_ = false;
   bool s_fwd_ = true;
   bool s_bwd_ = true;
-  Step m_fwd_ = kNever;  ///< distance to nearest g-node ahead (from kBwd msgs)
-  Step m_bwd_ = kNever;  ///< distance to nearest g-node behind (from kFwd msgs)
-  Step off_ = 1;
-  Step slot_ = 0;
-  ReliableLink rel_;
+  bool bwd_slot_ = false;  ///< this step's direction slot is the backward one
   bool want_complete_ = false;
 };
+static_assert(sizeof(CcgNode) == 64 && alignof(CcgNode) == 64,
+              "CcgNode is one cache line (see the memory plan above)");
 
 }  // namespace cg

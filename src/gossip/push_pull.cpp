@@ -30,7 +30,9 @@ std::vector<double> pushpull_expected_colored(NodeId N, NodeId n_active,
     const Step push_emit = s - lag;
     if (push_emit >= 1 && push_emit < T && push_emit - 1 >= 0)
       push_senders = c[static_cast<std::size_t>(push_emit - 1)];
-    const double p_push_miss = std::exp(push_senders * miss);
+    // No senders always miss (at N = 2, miss = -inf and 0 * miss is NaN).
+    const double p_push_miss =
+        push_senders > 0.0 ? std::exp(push_senders * miss) : 1.0;
 
     // Pull responses at s: request emitted at s - 2*lag - 1 by an
     // uncolored node, landing on a colored peer (answered next slot).

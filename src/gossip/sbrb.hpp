@@ -183,7 +183,7 @@ inline void sbrb_fill_sample(std::uint64_t seed, NodeId self, NodeId n,
 // SbrbNode - the production fast path
 // ---------------------------------------------------------------------------
 
-class SbrbNode {
+class alignas(64) SbrbNode {
  public:
   struct Params {
     SbrbSamples s{};
@@ -203,7 +203,18 @@ class SbrbNode {
   /// which is what makes steady-state SBRB trials allocation-free
   /// (tests/test_trial_farm.cpp).
   void reset_for_run(const Params& p, NodeId self, NodeId n) {
-    p_ = p;
+    const auto byte = [](int v) {
+      CG_CHECK(v >= 0 && v <= kMaxSample);  // sbrb_samples' cap
+      return static_cast<std::uint8_t>(v);
+    };
+    g_ = byte(p.s.g);
+    e_ = byte(p.s.e);
+    r_ = byte(p.s.r);
+    d_ = byte(p.s.d);
+    e_thresh_ = byte(p.s.e_thresh);
+    r_thresh_ = byte(p.s.r_thresh);
+    d_thresh_ = byte(p.s.d_thresh);
+    deadline_ = p.deadline;
     self_ = self;
     n_ = n;
     // Sample segments stay EMPTY until draw_samples() runs in on_start:
@@ -276,7 +287,7 @@ class SbrbNode {
   template <class Ctx>
   void on_tick(Ctx& ctx) {
     const Step now = ctx.now();
-    if (now >= p_.deadline) {
+    if (now >= deadline_) {
       ctx.complete();
       return;
     }
@@ -380,9 +391,9 @@ class SbrbNode {
   std::uint32_t candidate() const { return candidate_; }
 
  private:
-  /// Per-candidate tallies.  Only validly signed digests get a slot, so
-  /// two (kTruePayload + the root-equivocation kAltPayload) is the
-  /// realistic maximum; the array guards the theoretical worst case.
+  /// Per-candidate tallies.  Only validly signed digests get a slot, and
+  /// payload_signed accepts exactly two (kTruePayload and the
+  /// root-equivocation kAltPayload), so two slots hold every candidate.
   /// Masks dedup repeat votes per sample slot; the counters are the
   /// dense increment-on-new-vote mirrors the thresholds compare against.
   struct Cand {
@@ -396,7 +407,9 @@ class SbrbNode {
     bool ready = false;               ///< this node announced Ready(digest)
   };
   static_assert(sizeof(Cand) == 32);
-  static constexpr int kMaxCandidates = 8;
+  static constexpr int kMaxCandidates = 2;
+  static_assert(kMaxCandidates == std::ssize(kSignedPayloads),
+                "one tally slot per digest payload_signed accepts");
 
   // --- staged sends ---------------------------------------------------------
   // The reference stages every message in a FIFO at the moment the
@@ -426,7 +439,7 @@ class SbrbNode {
   // in run_mask_.  Gossip targets are drawn when sent: only gossip draws
   // from the node's RNG stream, so the draw order is the reference's.
   static constexpr std::uint32_t kReadySub = 0x8000'0000u;
-  static constexpr unsigned kEvColored = 8;  ///< event kind; 0-7: Ready(k)
+  static constexpr unsigned kEvColored = kMaxCandidates;  ///< below: Ready(k)
   static constexpr int kMaxEvents = 1 + kMaxCandidates;
   static constexpr std::uint32_t kLiveEnd = ~std::uint32_t{0};
   /// What the urgent cursor is walking.
@@ -452,9 +465,9 @@ class SbrbNode {
   }
 
   void draw_samples(std::uint64_t seed) {
-    const int r_off = p_.s.e;
-    const int d_off = r_off + p_.s.r;
-    const int s_end = d_off + p_.s.d;
+    const int r_off = e_;
+    const int d_off = r_off + r_;
+    const int s_end = d_off + d_;
     CG_CHECK(s_end <= 3 * kMaxSample);
     r_off_ = static_cast<std::uint8_t>(r_off);
     d_off_ = static_cast<std::uint8_t>(d_off);
@@ -464,9 +477,9 @@ class SbrbNode {
     if (static_cast<int>(samples_.size()) < s_end)
       samples_.resize(static_cast<std::size_t>(s_end));
     NodeId* const d = samples_.data();
-    sbrb_fill_sample(seed, self_, n_, 0, p_.s.e, d);
-    sbrb_fill_sample(seed, self_, n_, 1, p_.s.r, d + r_off);
-    sbrb_fill_sample(seed, self_, n_, 2, p_.s.d, d + d_off);
+    sbrb_fill_sample(seed, self_, n_, 0, e_, d);
+    sbrb_fill_sample(seed, self_, n_, 1, r_, d + r_off);
+    sbrb_fill_sample(seed, self_, n_, 2, d_, d + d_off);
     // Both segments are sorted: one merge pass finds the delivery members
     // that the ready subscription already covers.
     int a = r_off;
@@ -502,7 +515,7 @@ class SbrbNode {
       // Settle the draws a revived node's reference self already made.
       for (; gossip_owed_ > 0; --gossip_owed_)
         (void)ctx.rng().other_node(self_, n_);
-      gossip_left_ = static_cast<std::uint8_t>(p_.s.g);
+      gossip_left_ = g_;
     }
     ev_[n_ev_++] = len << 4 | kind;
     if (run_ == kRunSegment && run_end_ == kLiveEnd) run_end_ = len;
@@ -611,7 +624,7 @@ class SbrbNode {
       ++c->echo_cnt;
     }
     if (!sieve_delivered_ && payload == candidate_ &&
-        c->echo_cnt >= p_.s.e_thresh) {
+        c->echo_cnt >= e_thresh_) {
       sieve_delivered_ = true;  // Sieve consistency gate passed
       become_ready(ctx, *c);
     }
@@ -648,9 +661,9 @@ class SbrbNode {
     // Contagion feedback: enough sample Readies make us Ready too, even
     // without sieve-delivery (this is what spreads Ready to nodes whose
     // own sieve starved).
-    if (!c->ready && c->ready_cnt >= p_.s.r_thresh) become_ready(ctx, *c);
+    if (!c->ready && c->ready_cnt >= r_thresh_) become_ready(ctx, *c);
     // Delivery: a majority-with-margin of the delivery sample is Ready.
-    if (!delivered_ && c->delivery_cnt >= p_.s.d_thresh) {
+    if (!delivered_ && c->delivery_cnt >= d_thresh_) {
       delivered_ = true;
       if (candidate_ == 0) {
         // Gossip never reached us: adopt the sample-winning payload.
@@ -661,47 +674,47 @@ class SbrbNode {
     }
   }
 
-  // Field order is deliberate: a receive's dependent-load chain starts at
-  // the node's FIRST line - the samples_ vector header leads, so its data
-  // pointer, the segment offsets and the candidate word are available
-  // from one line fill, with the thresholds (p_) and the subscriber list
-  // header on the second and the first candidate's tallies on the third.
-  // The dispatch loops prefetch the first two lines a few deliveries
-  // ahead, which turns the 2-3 serial misses per receive of the naive
-  // layout into ~one (docs/PERF.md §7).  The staged-send cursor sits on
-  // the first line too, so a send touches the header lines and the one
-  // sample or subscriber entry it names.  The exact-size heap sample
-  // array (vs an inline 3*kMaxSample array) also cuts the per-node
-  // footprint ~4x.
+  // Field order is deliberate: the node is three cache lines, and the
+  // engines' dispatch loops prefetch the first two a few deliveries ahead.
+  // Everything a receive reads sits in them - the samples_ and subs_
+  // headers, candidate_, the segment offsets, the thresholds and both
+  // tally rows - so a receive costs about one miss, on the sample or
+  // subscriber line it names (docs/PERF.md §7).  The send cursor fills the
+  // third line.  No Params copy: the callbacks read byte-wide sizes and
+  // thresholds (<= kMaxSample) and the deadline.  The exact-size heap
+  // sample array (vs an inline 3*kMaxSample array) cuts the footprint ~4x.
   //
   // Sorted flat sample storage: samples_[0, r_off_) echo,
   // [r_off_, d_off_) ready, [d_off_, s_end_) delivery.
   std::vector<NodeId> samples_;
+  std::vector<std::uint32_t> subs_;  // subscribers, arrival order
   std::uint32_t candidate_ = 0;  // first payload adopted (0 = uncolored)
+  std::uint8_t r_off_ = 0, d_off_ = 0, s_end_ = 0;
+  std::uint8_t e_thresh_ = 0, r_thresh_ = 0, d_thresh_ = 0;  // SbrbSamples'
   std::uint8_t n_cands_ = 0;
   bool sieve_delivered_ = false;
   bool delivered_ = false;
-  std::uint8_t sub_next_ = 0;  // subscription cursor into samples_
-  std::uint8_t r_off_ = 0;
-  std::uint8_t d_off_ = 0;
-  std::uint8_t s_end_ = 0;
   Run run_ = kRunIdle;  // urgent cursor: current run ...
+  std::uint8_t n_ev_ = 0;
+  std::uint8_t sub_next_ = 0;  // subscription cursor into samples_
+  Cand cands_[kMaxCandidates]{};
+  std::uint64_t sub_skip_ = 0;  // see "staged sends"
+  Step deadline_ = 64;          // Params::deadline
   NodeId self_ = 0;
   NodeId n_ = 1;
   std::uint32_t at_pos_ = 0;   // ... its position in subs_ ...
   std::uint32_t run_end_ = 0;  // ... and end (kLiveEnd: subs_.size())
+  std::uint32_t ev_[kMaxEvents]{};  // len << 4 | kind, in order
   std::uint8_t at_ev_ = 0;      // event the cursor is in
   std::uint8_t at_k_ = 0;       // candidate slot of the next Ready
   std::uint8_t run_mask_ = 0;   // Ready candidates owed per Ready subscriber
   bool run_colored_ = false;    // an Echo is owed per echo subscriber
-  std::uint8_t n_ev_ = 0;
   std::uint8_t gossip_left_ = 0;  // gossip forwards not yet sent
   std::uint8_t gossip_owed_ = 0;  // see reset_for_run
-  Params p_;
-  std::vector<std::uint32_t> subs_;  // subscribers, arrival order
-  Cand cands_[kMaxCandidates]{};
-  std::uint64_t sub_skip_ = 0;            // see "staged sends"
-  std::uint32_t ev_[kMaxEvents]{};        // len << 4 | kind, in order
+  std::uint8_t g_ = 0, e_ = 0, r_ = 0, d_ = 0;  // SbrbSamples' sizes
 };
+static_assert(sizeof(SbrbNode) <= 192 && sizeof(SbrbNode) % 64 == 0 &&
+                  alignof(SbrbNode) == 64,
+              "SbrbNode is three cache lines (see its field-order comment)");
 
 }  // namespace cg

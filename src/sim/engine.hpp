@@ -39,6 +39,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 #include <vector>
 
@@ -155,7 +156,7 @@ class Engine {
   ByzantineModel byz_;
   std::uint32_t rx_payload_ = 0;  ///< digest of the message being dispatched
   MessageCounts counts_;
-  std::vector<CalendarSlot> calendar_;         // ring buffer, D+1 slots
+  std::vector<CalendarSlot> calendar_;         // ring, bit_ceil(D+1) slots
   CalendarSlot due_;                           // per-step scratch
   NodeArray<InboxBuf> inbox_;                  // kOnePerStep only
   NodeArray<Step> inbox_stamp_;                // kOnePerStep scratch
@@ -207,8 +208,7 @@ void Engine<Node>::do_send(NodeId from, NodeId to, const Message& m) {
   }
 
   adv.src = from;
-  auto& slot = calendar_[static_cast<std::size_t>(
-      at % static_cast<Step>(calendar_.size()))];
+  auto& slot = calendar_[static_cast<std::size_t>(at) & (calendar_.size() - 1)];
   slot.push(step_, to, adv);
   ++in_flight_;
   if (cfg_.profile != nullptr) {
@@ -262,9 +262,10 @@ RunMetrics Engine<Node>::run_impl() {
   for (const auto& b : cfg_.byzantine.nodes) store_.mark_byzantine(b.node);
   rx_payload_ = 0;
   counts_ = MessageCounts{};
-  // Reset the ring to D+1 empty slots, keeping each slot's capacity when
-  // the delay structure is unchanged (the trial-farm steady state).
-  const auto cal_slots = static_cast<std::size_t>(net_.max_delay()) + 1;
+  // Reset the ring to bit_ceil(D+1) empty slots (a mask indexes it),
+  // keeping each slot's capacity when the delay structure is unchanged.
+  const auto cal_slots =
+      std::bit_ceil(static_cast<std::size_t>(net_.max_delay()) + 1);
   if (calendar_.size() == cal_slots) {
     for (auto& slot : calendar_) slot.clear();
   } else {
@@ -354,8 +355,8 @@ RunMetrics Engine<Node>::run_impl() {
     // 2. deliveries scheduled for this step, in insertion order (sends
     // land at least one step ahead, so dispatch never touches `due`)
     due.clear();
-    std::swap(due, calendar_[static_cast<std::size_t>(
-                       step_ % static_cast<Step>(calendar_.size()))]);
+    std::swap(due, calendar_[static_cast<std::size_t>(step_) &
+                             (calendar_.size() - 1)]);
     const CalRecord* const recs = due.recs.data();
     const std::size_t due_n = due.recs.size();
     if (prof != nullptr) prof->events_fired += static_cast<std::int64_t>(due_n);

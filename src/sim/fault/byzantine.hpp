@@ -17,11 +17,11 @@
 //   * spammer     - rewrites each of its sends into an unsolicited forged
 //                   gossip ("colored") message to a hash-chosen victim.
 //
-// Signature model: payloads are digests (Message::payload).  kTruePayload
-// and kAltPayload are "validly signed by the source"; any digest with
-// kForgedBit set is an unforgeable-signature failure that authenticated
-// protocols (SBRB, src/gossip/sbrb.hpp) detect and drop, while the plain
-// gossip family - which assumes a crash-only world - accepts it.
+// Signature model: payloads are digests (Message::payload).  Only
+// kTruePayload and kAltPayload are "validly signed by the source"; the
+// adversary's digests carry kForgedBit, a signature failure that
+// authenticated protocols (SBRB, src/gossip/sbrb.hpp) detect and drop,
+// while the crash-model gossip family accepts it.
 //
 // Determinism: every adversary decision is a pure splitmix64 hash of
 // (seed, from, to, step, tag) - no RNG stream is consumed - so Byzantine
@@ -30,6 +30,7 @@
 // failure/straggler/partition draws.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -87,11 +88,15 @@ inline constexpr std::uint32_t kAltPayload = 2;
 /// Set on digests no honest signature could have produced.
 inline constexpr std::uint32_t kForgedBit = 0x8000'0000u;
 
+/// Every digest a valid source signature produces: the root signs its
+/// payload and, when it equivocates, the alternate.  Nothing else does.
+inline constexpr std::uint32_t kSignedPayloads[] = {kTruePayload, kAltPayload};
+
 /// True when `d` carries a valid source signature.  Authenticated
 /// protocols drop unsigned payloads at receive; the crash-model gossip
 /// family never checks.
 constexpr bool payload_signed(std::uint32_t d) {
-  return d != 0 && (d & kForgedBit) == 0;
+  return std::ranges::count(kSignedPayloads, d) != 0;
 }
 
 /// One Byzantine node with its role.

@@ -2,8 +2,8 @@
 // engine for million-node runs.
 //
 // Nodes are split into contiguous 64-aligned blocks, one per shard, and
-// each shard owns a PRIVATE delivery calendar (the PR 4 ring-of-slots
-// kernel) plus the SoA state for its block.  The LogP model gives a
+// each shard owns a PRIVATE delivery calendar (a ring of 2^k slots, found
+// by mask) plus the SoA state for its block.  The LogP model gives a
 // conservative lookahead: every message emitted at step s is delivered no
 // earlier than s + L/O + 1 (jitter, stragglers and link extras only ADD
 // delay), so a window of W = L/O + 1 steps can be simulated by every
@@ -95,6 +95,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <concepts>
 #include <utility>
 #include <vector>
@@ -209,7 +210,7 @@ class ShardedEngine {
   struct alignas(64) ShardState {
     NodeId lo = 0, hi = 0;  ///< owned node block [lo, hi)
     Step now = 0;           ///< shard-local current step inside a window
-    std::vector<CalendarSlot> calendar;  // private ring, D+1 slots
+    std::vector<CalendarSlot> calendar;  // private ring, 2^k >= D+1 slots
     std::array<BoundaryBox, 2> outbox;   // indexed by window parity
     SlotMerger merger;                   // canonical slot-ordering scratch
     InboxSlab inbox;        // kOnePerStep; local-node indexed
@@ -378,8 +379,7 @@ class ShardedEngine {
   }
 
   static std::size_t ring_slot(const ShardState& st, Step at) {
-    return static_cast<std::size_t>(at %
-                                    static_cast<Step>(st.calendar.size()));
+    return static_cast<std::size_t>(at) & (st.calendar.size() - 1);
   }
 
   /// Execute one window [win_lo, win_hi) on shard `sidx` (phase A).
@@ -663,7 +663,8 @@ RunMetrics ShardedEngine<Node>::run() {
 
   CG_CHECK_MSG(net_.max_delay() <= kMaxRecordDelay,
                "delivery delay too long for the calendar's 32-bit send step");
-  const auto cal_slots = static_cast<std::size_t>(net_.max_delay()) + 1;
+  const auto cal_slots =
+      std::bit_ceil(static_cast<std::size_t>(net_.max_delay()) + 1);
   shards_.assign(static_cast<std::size_t>(nshards_), ShardState{});
   for (int w = 0; w < nshards_; ++w) {
     auto& st = shards_[static_cast<std::size_t>(w)];

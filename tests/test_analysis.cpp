@@ -98,6 +98,23 @@ TEST(Coloring, SingleNodeStaysColored) {
   }
 }
 
+TEST(Coloring, TwoNodesColorAtTheFirstArrival) {
+  // At N = 2 every gossip send reaches the one other node: c(t) is 1 until
+  // the root's first message lands (sent at step 1) and 2 from then on.
+  // T = 1 emits nothing, so c(t) stays 1 and the tuner needs T = 2.
+  for (const LogP& logp : {LogP::unit(), LogP::piz_daint()}) {
+    const Step arrive = 1 + logp.delivery_delay();
+    for (const Step T : {1, 2, 5}) {
+      const auto c = expected_colored(2, 2, T, logp, arrive + 4);
+      for (Step t = 0; t <= arrive + 4; ++t)
+        EXPECT_DOUBLE_EQ(c[static_cast<std::size_t>(t)],
+                         T >= 2 && t >= arrive ? 2.0 : 1.0)
+            << "T=" << T << " t=" << t;
+    }
+    EXPECT_EQ(gossip_time_for_target(2, 2, 0.5, logp), 2);
+  }
+}
+
 // ---------------------------------------------------------------- chain --
 
 TEST(Chain, SumsToOne) {

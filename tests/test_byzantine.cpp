@@ -82,6 +82,20 @@ TEST(SbrbSamples, CappedByPopulation) {
 }
 
 // ---------------------------------------------------------------------------
+// Signature model
+// ---------------------------------------------------------------------------
+
+TEST(SignatureModel, OnlyTheSourcesTwoDigestsVerify) {
+  // SbrbNode keeps one tally slot per signed digest, so this set is also
+  // its candidate bound.
+  EXPECT_TRUE(payload_signed(kTruePayload));
+  EXPECT_TRUE(payload_signed(kAltPayload));
+  for (const std::uint32_t d :
+       {0u, 3u, 64u, kForgedBit, kForgedBit | 1u, kForgedBit | 2u})
+    EXPECT_FALSE(payload_signed(d)) << d;
+}
+
+// ---------------------------------------------------------------------------
 // Config validation
 // ---------------------------------------------------------------------------
 

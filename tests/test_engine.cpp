@@ -5,9 +5,12 @@
 // store's bitmaps, which cross-engine parity cannot check.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <utility>
 
+#include "gossip/ccg.hpp"
+#include "gossip/sbrb.hpp"
 #include "sim/core/soa_store.hpp"
 #include "sim/engine.hpp"
 #include "sim/sharded_engine.hpp"
@@ -447,6 +450,27 @@ TEST(SoaNodeStore, FootprintCountsEveryLifecycleArray) {
                              store.active_bits().footprint_bytes() -
                              store.sbrb_pending_bits().footprint_bytes();
     EXPECT_EQ(rest, store.life().footprint_bytes()) << "n " << n;
+  }
+}
+
+template <class Node>
+void expect_line_aligned_slab(NodeId n, const typename Node::Params& p) {
+  SoaNodeStore<Node> store;
+  store.reset(n, 7, p);
+  for (NodeId i = 0; i < n; ++i)
+    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(&store.node(i)) % 64, 0u)
+        << "n " << n << " node " << i;
+}
+
+TEST(SoaNodeStore, HotNodesStartOnACacheLine) {
+  // Each receive or tick then touches whole lines of its node, on both
+  // allocation paths: the std::allocator path (n = 4,096: 256 KiB of
+  // CcgNode, 768 KiB of SbrbNode) and the huge-page mapping (n = 65,536).
+  SbrbNode::Params sp;
+  for (const NodeId n : {4096, 65536}) {
+    sp.s = sbrb_samples(n, 1e-4, 0.1);
+    expect_line_aligned_slab<CcgNode>(n, {});
+    expect_line_aligned_slab<SbrbNode>(n, sp);
   }
 }
 

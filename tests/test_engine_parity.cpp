@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <random>
 #include <set>
 #include <string>
@@ -18,6 +20,7 @@
 
 #include "harness/runner.hpp"
 #include "obs/trace_sinks.hpp"
+#include "sim/core/network_model.hpp"
 #include "sim/topology.hpp"
 #include "sim/trace.hpp"
 
@@ -325,6 +328,9 @@ TEST(EngineParity, ProfileCallbackCountsMatchAcrossEngines) {
 // shows up as a trace diff.
 TEST(EngineParity, RandomizedFaultStacksTraceByteParity) {
   constexpr int kSeeds = 100;
+  // Both engines round their calendar rings up from max_delay + 1 to a
+  // power of two; the sweep must cover delay structures that get rounded.
+  int rounded_rings = 0;
   for (int seed = 1; seed <= kSeeds; ++seed) {
     std::mt19937_64 gen(0x9E3779B97F4A7C15ull * static_cast<unsigned>(seed));
     auto pick = [&](int lo, int hi) {  // inclusive
@@ -371,6 +377,11 @@ TEST(EngineParity, RandomizedFaultStacksTraceByteParity) {
       cfg.partitions.push_back(pw);
     }
 
+    NetworkModel net;
+    net.reset(cfg);
+    if (!std::has_single_bit(static_cast<std::uint64_t>(net.max_delay()) + 1))
+      ++rounded_rings;
+
     const Algo algo =
         std::array{Algo::kGos, Algo::kOcg, Algo::kCcg, Algo::kFcg}[
             static_cast<std::size_t>(pick(0, 3))];
@@ -393,6 +404,7 @@ TEST(EngineParity, RandomizedFaultStacksTraceByteParity) {
     ASSERT_FALSE(serial.empty());
     ASSERT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 1 + seed % 3));
   }
+  EXPECT_GT(rounded_rings, 10);
 }
 
 }  // namespace

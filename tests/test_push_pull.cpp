@@ -82,6 +82,21 @@ TEST(PushPull, ForecastKeepsASingleNodeColored) {
     EXPECT_DOUBLE_EQ(c, 1.0);
 }
 
+TEST(PushPull, ForecastColorsTheOtherOfTwoNodesAtTheFirstArrival) {
+  // As Coloring.TwoNodesColorAtTheFirstArrival: the root's first push
+  // (sent at step 1) lands before any pull answer could.
+  for (const LogP& logp : {LogP::unit(), LogP::piz_daint()}) {
+    const Step arrive = 1 + logp.delivery_delay();
+    for (const Step T : {1, 2, 5}) {
+      const auto c = pushpull_expected_colored(2, 2, T, logp, arrive + 4);
+      for (Step t = 0; t <= arrive + 4; ++t)
+        EXPECT_DOUBLE_EQ(c[static_cast<std::size_t>(t)],
+                         T >= 2 && t >= arrive ? 2.0 : 1.0)
+            << "T=" << T << " t=" << t;
+    }
+  }
+}
+
 TEST(PushPull, UncoloredNodesSendOnlyRequests) {
   VectorTrace trace;
   PushPullNode::Params p;
